@@ -254,9 +254,10 @@ def frame_observations(
 
     Every device contributes every copy of every sub-block segment to the
     slot it lands in, with its block-static channel and delay.  Codewords
-    for the whole population are generated in one batch; noise for the whole
-    grid is drawn up front in one block so the result is reproducible
-    independently of the accumulation order.
+    and delay ramps are generated one slot group at a time, so memory stays
+    bounded by the most crowded slot; noise for the whole grid is drawn up
+    front in one block so the result is reproducible independently of the
+    accumulation order.
     """
     r, n = cfg.r, frame.seq_len
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
@@ -275,18 +276,21 @@ def frame_observations(
         if h.shape[1] != r:
             raise ValueError("device channel dimension does not match the antenna count")
         delta = np.array([dev.delta for dev in devices])
-        ramp = np.exp(-1j * np.outer(delta, np.arange(1, n + 1)))
+        n_idx = np.arange(1, n + 1)
         flat = segments.reshape(k * n_sub, frame.segment_bits)
         amp = math.sqrt(cfg.gamma)
         for c in range(frame.copies):
-            bits = segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1))
-            X = rm_samples_batch(*bits_to_pair_batch(bits)).reshape(k, n_sub, n)
-            X = X * ramp[:, None, :]
+            Ps, bs = bits_to_pair_batch(segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1)))
+            Ps = Ps.reshape(k, n_sub, frame.m, frame.m)
+            bs = bs.reshape(k, n_sub, frame.m)
             for j in range(n_sub):
                 landed = slots[:, j, c]
-                for i in np.unique(landed):
-                    sel = landed == i
-                    Y[j, i] += amp * np.einsum("kl,kn->ln", h[sel], X[sel, j])
+                order = np.argsort(landed, kind="stable")
+                starts = np.flatnonzero(np.diff(landed[order])) + 1
+                for sel in np.split(order, starts):
+                    X = rm_samples_batch(Ps[sel, j], bs[sel, j])
+                    X = X * np.exp(-1j * np.outer(delta[sel], n_idx))
+                    Y[j, landed[sel[0]]] += amp * np.einsum("kl,kn->ln", h[sel], X)
     return [
         [SlotObservation(Y=Y[j, i], slot=int(i)) for i in range(n_slots)] for j in range(n_sub)
     ]

@@ -2,12 +2,13 @@
 
 A sequence of length 2**m over {1, -1, i, -i} is identified by a symmetric
 binary m x m matrix P and a binary m-vector b: sample n (1-based) equals
-i**(2*b'a + a'Pa) where a is the m-bit binary expression of n - 1.  This
-module generates sequences, exposes the half-length subsequence structure
-(each sequence is two interleaved copies of a shorter one, the even-position
-copy modulated by a Walsh function whose frequency is the last off-diagonal
-column of P), provides the fast Walsh-Hadamard transform the detector uses to
-locate that frequency, and packs message fields into pairs and back.
+i**(2*b'a + a'Pa) where a is the m-bit binary expression of n - 1.  Each
+sequence is two interleaved copies of a shorter one, the even-position copy
+modulated by a Walsh function whose frequency is the last off-diagonal
+column of P.  This module exposes that half-length subsequence structure,
+builds stacks of sequences through it layer by layer in O(2**m) per
+sequence, provides the fast Walsh-Hadamard transform the detector uses to
+locate the frequency, and packs message fields into pairs and back.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
 the least significant bit, i.e. vectors read MSB-first.  The subsequence
@@ -171,17 +172,63 @@ def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _IOTA_POW[expo]
 
 
+@lru_cache(maxsize=None)
+def _walsh_table(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices 0..2**width-1 and twice their bit-count parity (uint8), so
+    that table[idx & eta] is the exponent 2*eta'a of a Walsh function.
+    Read-only."""
+    idx = np.arange(1 << width)
+    twice_parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(width):
+        twice_parity = np.concatenate([twice_parity, twice_parity ^ 2])
+    idx.setflags(write=False)
+    twice_parity.setflags(write=False)
+    return idx, twice_parity
+
+
+@lru_cache(maxsize=None)
+def _column_weights(m: int) -> np.ndarray:
+    """weights[i, w] = 2**(w-1-i) above the diagonal, else 0: column w of P
+    dotted with it is P[:w, w] read MSB-first as an integer. Read-only."""
+    i = np.arange(m)[:, None]
+    w = np.arange(m)[None, :]
+    weights = np.where(i < w, 1 << np.maximum(w - 1 - i, 0), 0)
+    weights.setflags(write=False)
+    return weights
+
+
 def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """rm_samples for a stack of pairs: Ps (k, m, m), bs (k, m) -> (k, 2**m)."""
-    Ps = np.asarray(Ps, dtype=np.int64)
-    bs = np.asarray(bs, dtype=np.int64)
+    """rm_samples for a stack of pairs: Ps (k, m, m), bs (k, m) -> (k, 2**m).
+
+    Built through the layer recursion on uint8 exponents, O(2**m) per pair:
+    E_s = interleave(E_{s-1}, E_{s-1} + 2*b[s-1] + P[s-1, s-1]
+    + 2*parity(n' & eta_s)) mod 4, with eta_s = P[:s-1, s-1] read MSB-first,
+    so only the upper triangle of P is read; P must be symmetric.
+    """
+    Ps = np.asarray(Ps)
+    bs = np.asarray(bs)
     if Ps.ndim != 3 or bs.ndim != 2 or Ps.shape[0] != bs.shape[0]:
         raise ValueError("expected stacked pairs of matching leading dimension")
-    m = bs.shape[1]
-    A = _bit_table(m)
-    quad = np.einsum("ni,kij,nj->kn", A, Ps, A)
-    lin = bs @ A.T
-    expo = (2 * lin + quad) & 3
+    k, m = bs.shape
+    if m < 1 or Ps.shape[1:] != (m, m):
+        raise ValueError(f"expected nonempty b rows and {m} x {m} P matrices, got {Ps.shape[1:]}")
+    if ((Ps != 0) & (Ps != 1)).any() or ((bs != 0) & (bs != 1)).any():
+        raise ValueError("P and b entries must be 0 or 1")
+    if (Ps != Ps.transpose(0, 2, 1)).any():
+        raise ValueError("P must be symmetric")
+    Ps = Ps.astype(np.uint8)
+    shifts = 2 * bs.astype(np.uint8) + Ps.diagonal(axis1=1, axis2=2)
+    etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))
+    expo = np.zeros((k, 1), dtype=np.uint8)
+    for w in range(m):  # layer s = w + 1 appends the bit a[w]
+        idx, twice_parity = _walsh_table(w)
+        odd = twice_parity[idx & etas[w, :, None]]
+        odd += expo
+        odd += shifts[:, w, None]
+        nxt = np.empty((k, 2 << w), dtype=np.uint8)
+        nxt[:, 0::2] = expo
+        np.bitwise_and(odd, 3, out=nxt[:, 1::2])
+        expo = nxt
     return _IOTA_POW[expo]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rm_codec import RmPair, binary_index, rm_samples, walsh_factor, wht
+from .rm_codec import _IOTA_POW, RmPair, binary_index, rm_samples, walsh_factor, wht
 
 __all__ = [
     "Detection",
@@ -38,8 +38,6 @@ __all__ = [
     "cancel",
     "detect_slot",
 ]
-
-_IOTA_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
 def _wrap(x):

@@ -21,8 +21,8 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
     time_domain_reference,
 )
-from rmaccess.rm_codec import bits_to_pair, generate_sequence
-from rmaccess.access_pipeline import segment_pair
+from rmaccess.rm_codec import bits_to_pair, bits_to_pair_batch, generate_sequence, rm_samples_batch
+from rmaccess.access_pipeline import segment_pair, segment_pair_bits
 
 # the standard operating geometry: 4000 devices per km^2, 60 dB power
 GEO_R1 = GeometryConfig(density=0.004, area=250_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=1)
@@ -248,6 +248,77 @@ def test_frame_observations_noise_is_additive_and_seeded():
             )
     with pytest.raises(ValueError):
         frame_observations(devices, frame, geo, noise_on=True)  # no generator
+
+
+def mask_loop_observations(devices, frame, cfg, rng):
+    # whole-population codewords and ramps, then one boolean mask per landed
+    # slot: the synthesis loop frame_observations replaced
+    r, n = cfg.r, frame.seq_len
+    n_sub, n_slots = frame.n_subblocks, frame.n_slots
+    shape = (n_sub, n_slots, r, n)
+    Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    if devices:
+        k = len(devices)
+        segments = np.stack([dev.message.segments for dev in devices])
+        slots = np.stack([dev.message.slots for dev in devices])
+        h = np.stack([dev.h for dev in devices])
+        delta = np.array([dev.delta for dev in devices])
+        ramp = np.exp(-1j * np.outer(delta, np.arange(1, n + 1)))
+        flat = segments.reshape(k * n_sub, frame.segment_bits)
+        amp = math.sqrt(cfg.gamma)
+        for c in range(frame.copies):
+            bits = segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1))
+            X = rm_samples_batch(*bits_to_pair_batch(bits)).reshape(k, n_sub, n)
+            X = X * ramp[:, None, :]
+            for j in range(n_sub):
+                landed = slots[:, j, c]
+                for i in np.unique(landed):
+                    sel = landed == i
+                    Y[j, i] += amp * np.einsum("kl,kn->ln", h[sel], X[sel, j])
+    return Y
+
+
+def _assert_matches_mask_loop(devices, frame, geo, seed=5):
+    got = frame_observations(devices, frame, geo, np.random.default_rng(seed))
+    expected = mask_loop_observations(devices, frame, geo, np.random.default_rng(seed))
+    for j in range(frame.n_subblocks):
+        for i in range(frame.n_slots):
+            assert got[j][i].slot == i
+            np.testing.assert_array_equal(got[j][i].Y, expected[j, i])
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        FrameConfig(m=4, p=2, d=0),
+        FrameConfig(m=5, p=2, d=1),
+        FrameConfig(m=6, p=3, d=2),
+        FrameConfig(m=5, p=2, tau_max=0.0),
+    ],
+    ids=["async-d0", "async-d1", "async-d2", "sync"],
+)
+def test_frame_observations_equals_mask_loop_exactly(frame):
+    """Slot-group synthesis performs the same floating-point operations as
+    the whole-population mask loop, so every observation is bit-identical."""
+    geo = GeometryConfig(density=2e-3, area=20_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=3)
+    devices = sample_frame(geo, frame, np.random.default_rng(46))
+    assert len(devices) > 2 * frame.n_slots
+    _assert_matches_mask_loop(devices, frame, geo)
+
+
+def test_frame_observations_exact_with_empty_slots():
+    frame = FrameConfig(m=4, p=4, d=1)
+    geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=3.0, r=2)
+    rng = np.random.default_rng(47)
+    devices = [
+        _payload_device(frame, rng, rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                        float(rng.uniform(-math.pi, math.pi)))
+        for _ in range(3)
+    ]
+    landed = np.stack([dev.message.slots for dev in devices])
+    assert len(np.unique(landed[:, 0, :])) < frame.n_slots  # some slot stays empty
+    _assert_matches_mask_loop(devices, frame, geo)
+    _assert_matches_mask_loop([], frame, geo)
 
 
 def test_time_domain_reference_equivalence():

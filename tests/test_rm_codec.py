@@ -4,6 +4,9 @@ packing conventions."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rmaccess.rm_codec import (
     BitLayout,
@@ -35,6 +38,16 @@ def reference_samples(P, b):
         lin = sum(int(b[i]) * a[i] for i in range(m))
         out.append(1j ** ((2 * lin + quad) % 4))
     return np.array(out)
+
+
+def einsum_samples_batch(Ps, bs):
+    # the m^2 quadratic-form evaluation that rm_samples_batch replaced
+    Ps = np.asarray(Ps, dtype=np.int64)
+    bs = np.asarray(bs, dtype=np.int64)
+    m = bs.shape[1]
+    A = ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int64)
+    quad = np.einsum("ni,kij,nj->kn", A, Ps, A)
+    return np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])[(2 * (bs @ A.T) + quad) & 3]
 
 
 def random_pair(rng, m):
@@ -105,6 +118,63 @@ def test_rm_samples_batch_matches_single():
     batch = rm_samples_batch(Ps, bs)
     for k, pair in enumerate(pairs):
         np.testing.assert_array_equal(batch[k], rm_samples(pair.P, pair.b))
+
+
+@st.composite
+def pair_stacks(draw):
+    m = draw(st.integers(1, 10))
+    k = draw(st.integers(0, 6))
+    upper = draw(arrays(np.uint8, (k, m, m), elements=st.integers(0, 1)))
+    upper = np.triu(upper)
+    bs = draw(arrays(np.uint8, (k, m), elements=st.integers(0, 1)))
+    return upper | upper.transpose(0, 2, 1), bs
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_stacks())
+@example((np.ones((3, 1, 1), np.uint8), np.array([[0], [1], [1]], np.uint8)))
+@example((np.zeros((0, 1, 1), np.uint8), np.zeros((0, 1), np.uint8)))
+@example((np.zeros((0, 10, 10), np.uint8), np.zeros((0, 10), np.uint8)))
+def test_rm_samples_batch_recursion_matches_einsum(stack):
+    Ps, bs = stack
+    batch = rm_samples_batch(Ps, bs)
+    assert batch.shape == (bs.shape[0], 1 << bs.shape[1])
+    np.testing.assert_array_equal(batch, einsum_samples_batch(Ps, bs))
+    for k in range(bs.shape[0]):
+        np.testing.assert_array_equal(batch[k], rm_samples(Ps[k], bs[k]))
+
+
+def test_rm_samples_batch_rejects_non_binary_P():
+    Ps = np.zeros((2, 3, 3), np.int64)
+    Ps[1, 1, 1] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        rm_samples_batch(Ps, np.zeros((2, 3), np.int64))
+    Ps[1, 1, 1] = -1
+    with pytest.raises(ValueError, match="0 or 1"):
+        rm_samples_batch(Ps, np.zeros((2, 3), np.int64))
+
+
+def test_rm_samples_batch_rejects_non_binary_b():
+    bs = np.zeros((2, 3), np.int64)
+    bs[0, 2] = 3
+    with pytest.raises(ValueError, match="0 or 1"):
+        rm_samples_batch(np.zeros((2, 3, 3), np.int64), bs)
+
+
+def test_rm_samples_batch_rejects_asymmetric_P():
+    # the recursion reads only the upper triangle, so a lower-triangle-only
+    # entry would otherwise be silently dropped
+    Ps = np.zeros((2, 3, 3), np.uint8)
+    Ps[1, 2, 0] = 1
+    with pytest.raises(ValueError, match="symmetric"):
+        rm_samples_batch(Ps, np.zeros((2, 3), np.uint8))
+
+
+def test_rm_samples_batch_rejects_shape_clash():
+    with pytest.raises(ValueError):
+        rm_samples_batch(np.zeros((2, 3, 3), np.uint8), np.zeros((2, 4), np.uint8))
+    with pytest.raises(ValueError):
+        rm_samples_batch(np.zeros((2, 3, 3), np.uint8), np.zeros((3, 3), np.uint8))
 
 
 def test_layer_recursion_identity():
