@@ -9,18 +9,15 @@ from .access_pipeline import (
     ErrorMetrics,
     FrameConfig,
     FrameDecodeResult,
-    MessagePayload,
-    assign_slots,
     decode_frame,
     draw_messages,
-    encode_payload,
     error_metrics,
     tree_decode,
     tree_encode,
 )
 from .geometry_channel import (
-    DeviceRealization,
     GeometryConfig,
+    Population,
     SlotObservation,
     classify_neighbors,
     expected_neighbors,
@@ -47,7 +44,6 @@ from .sim_cli import ExperimentSpec, main, presets, run_sweep, scaling_bench
 from .slot_detector import (
     Detection,
     DetectorConfig,
-    cancel,
     detect_slot,
     fold_layer,
     refine_delay,
@@ -74,25 +70,21 @@ __all__ = [
     "Detection",
     "DetectorConfig",
     "detect_slot",
-    "cancel",
     "fold_layer",
     "refine_delay",
     "reconstruct_signal",
     # frame pipeline
     "FrameConfig",
-    "MessagePayload",
     "FrameDecodeResult",
     "ErrorMetrics",
     "tree_encode",
     "tree_decode",
-    "assign_slots",
     "draw_messages",
-    "encode_payload",
     "decode_frame",
     "error_metrics",
     # geometry and channel
     "GeometryConfig",
-    "DeviceRealization",
+    "Population",
     "SlotObservation",
     "expected_neighbors",
     "interference_power",

@@ -5,10 +5,13 @@ together by a seeded random-parity tree code.  Each sub-block segment spends
 its first p bits on the primary slot index and (asynchronously) the next p on
 a translate whose XOR with the primary gives the secondary slot; the rest
 rides inside the Reed-Muller pair of the two transmitted copies, which differ
-only in a check bit.  The frame decoder sweeps the slots of every sub-block
-in order, pre-cancels copies of already-found messages whose other slot is
-the current one, runs the per-slot detector, maps detections back to
-segments, and finally tree-decodes across sub-blocks.
+only in a check bit.  draw_messages draws a frame's messages at once and
+returns them as stacked arrays (information bits, segments, landed slots),
+the message half of geometry_channel.Population.  The frame decoder sweeps
+the slots of every sub-block in order, pre-cancels copies of already-found
+messages whose other slot is the current one, runs the per-slot detector,
+maps detections back to segments, and finally tree-decodes across
+sub-blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .rm_codec import (
     binary_index,
     bits_to_int,
     bits_to_pair,
-    pack_bits,
     pair_to_bits,
     unpack_bits,
 )
@@ -36,16 +38,12 @@ from .slot_detector import DetectorConfig
 
 __all__ = [
     "FrameConfig",
-    "MessagePayload",
     "FrameDecodeResult",
     "ErrorMetrics",
     "tree_encode",
     "tree_encode_batch",
     "tree_decode",
-    "assign_slots",
-    "segment_pair",
     "segment_pair_bits",
-    "encode_payload",
     "draw_messages",
     "decode_frame",
     "error_metrics",
@@ -164,17 +162,6 @@ def _layout_for(m: int, p: int, synchronous: bool) -> BitLayout:
     return BitLayout.synchronous(m, p) if synchronous else BitLayout.asynchronous(m, p)
 
 
-@dataclass(frozen=True)
-class MessagePayload:
-    """One device's message and its derived transmission plan: the B
-    information bits, the per-sub-block segments (info then parity), and the
-    slot index of every transmitted copy."""
-
-    info: np.ndarray  # (B,)
-    segments: np.ndarray  # (2**d, segment_bits)
-    slots: np.ndarray  # (2**d, copies)
-
-
 # -- tree code ------------------------------------------------------------
 
 
@@ -277,18 +264,6 @@ def tree_decode(
 # -- segments to slots and pairs ------------------------------------------
 
 
-def segment_pair(segment: np.ndarray, cfg: FrameConfig, secondary: bool) -> RmPair:
-    """Transmit pair for one copy of a sub-block segment."""
-    segment = np.asarray(segment, dtype=np.uint8)
-    if segment.shape != (cfg.segment_bits,):
-        raise ValueError(f"segment must have {cfg.segment_bits} bits, got {segment.shape}")
-    if cfg.synchronous:
-        if secondary:
-            raise ValueError("the synchronous scheme sends a single copy")
-        return pack_bits(segment[cfg.p :], np.zeros(0, np.uint8), False, cfg.layout)
-    return pack_bits(segment[2 * cfg.p :], segment[cfg.p : 2 * cfg.p], secondary, cfg.layout)
-
-
 def segment_pair_bits(segments: np.ndarray, cfg: FrameConfig, secondary: np.ndarray) -> np.ndarray:
     """Canonical pair bit strings for a stack of segments: (k, segment_bits)
     with per-row secondary flags -> (k, m(m+3)/2)."""
@@ -309,37 +284,6 @@ def segment_pair_bits(segments: np.ndarray, cfg: FrameConfig, secondary: np.ndar
     return bits
 
 
-def assign_slots(
-    segment: np.ndarray, cfg: FrameConfig, rng: np.random.Generator | None = None
-) -> tuple[int, int, RmPair, RmPair]:
-    """Slot pair and transmit pairs of one sub-block segment.
-
-    The primary slot index is the first p segment bits, the translate the
-    next p, the secondary slot their XOR.  A zero translate (both copies in
-    one slot) is resampled in place when an rng is supplied, else rejected.
-    """
-    if cfg.synchronous:
-        raise ValueError("assign_slots applies to the two-copy scheme; tau_max is 0 here")
-    segment = np.array(segment, dtype=np.uint8)
-    if segment.shape != (cfg.segment_bits,):
-        raise ValueError(f"segment must have {cfg.segment_bits} bits, got {segment.shape}")
-    translate = segment[cfg.p : 2 * cfg.p]
-    if not translate.any():
-        if rng is None:
-            raise ValueError("translate field is zero; both copies would share a slot")
-        while not translate.any():
-            translate = rng.integers(0, 2, size=cfg.p, dtype=np.uint8)
-        segment[cfg.p : 2 * cfg.p] = translate
-    primary = bits_to_int(segment[: cfg.p])
-    secondary = primary ^ bits_to_int(translate)
-    return (
-        primary,
-        secondary,
-        segment_pair(segment, cfg, False),
-        segment_pair(segment, cfg, True),
-    )
-
-
 def _slots_from_segments(segments: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """(k, 2**d, segment_bits) -> slot indices (k, 2**d, copies)."""
     weights = 1 << np.arange(cfg.p - 1, -1, -1, dtype=np.int64) if cfg.p else np.zeros(0, np.int64)
@@ -350,28 +294,19 @@ def _slots_from_segments(segments: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return np.stack([primary, primary ^ translate], axis=2)
 
 
-def encode_payload(info: np.ndarray, cfg: FrameConfig) -> MessagePayload:
-    """Full transmission plan of one message.  Rejects (ValueError) messages
-    whose translate field is zero in some sub-block; draw_messages avoids
-    them by construction."""
-    info = np.asarray(info, dtype=np.uint8)
-    segments = tree_encode(info, cfg)
-    if not cfg.synchronous:
-        translate = segments[:, cfg.p : 2 * cfg.p]
-        if (~translate.any(axis=1)).any():
-            raise ValueError(
-                "translate field is zero in some sub-block; this payload is not encodable"
-            )
-    slots = _slots_from_segments(segments[None], cfg)[0]
-    return MessagePayload(info=info, segments=segments, slots=slots)
+def draw_messages(
+    cfg: FrameConfig, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count uniform messages with valid transmission plans, stacked: the
+    information bits (count, B), the tree-coded sub-block segments, info
+    then parity (count, 2**d, segment_bits), and the slot index of every
+    transmitted copy (count, 2**d, copies).
 
-
-def draw_messages(cfg: FrameConfig, rng: np.random.Generator, count: int) -> list[MessagePayload]:
-    """count uniform messages with valid transmission plans.
-
-    Asynchronously, payloads whose encoding yields a zero translate in any
-    sub-block are redrawn whole, keeping tree parity consistent; the entropy
-    loss is 2**d * 2**-p per message.
+    The primary slot is a segment's first p bits; asynchronously the next
+    p are a translate whose XOR with the primary gives the secondary slot.
+    Payloads whose encoding yields a zero translate (both copies in one
+    slot) in any sub-block are redrawn whole, keeping tree parity
+    consistent; the entropy loss is 2**d * 2**-p per message.
     """
     count = int(count)
     if count < 0:
@@ -384,10 +319,7 @@ def draw_messages(cfg: FrameConfig, rng: np.random.Generator, count: int) -> lis
             infos[bad] = rng.integers(0, 2, size=(int(bad.sum()), cfg.message_bits), dtype=np.uint8)
             segments[bad] = tree_encode_batch(infos[bad], cfg)
             bad = ~segments[:, :, cfg.p : 2 * cfg.p].any(axis=2).all(axis=1)
-    slots = _slots_from_segments(segments, cfg)
-    return [
-        MessagePayload(info=infos[i], segments=segments[i], slots=slots[i]) for i in range(count)
-    ]
+    return infos, segments, _slots_from_segments(segments, cfg)
 
 
 # -- frame decoding --------------------------------------------------------

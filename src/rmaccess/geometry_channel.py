@@ -7,6 +7,11 @@ and counts as a neighbor (in cell, part of the decoder's ground truth) when
 D**(-alpha) * sum(G) >= r * theta.  Every device transmits regardless; the
 far ones appear only as residual interference.
 
+A frame's devices are held as one Population of stacked arrays, row k being
+device k: its geometry, fading, channel and delay, and its message with the
+derived sub-block segments and landed slots.  classify_neighbors returns
+the in-cell rows as a boolean mask over that population.
+
 Slot observations live in the post-DFT frequency domain,
 
     Y[l, n] = sqrt(gamma) * sum_k h[k, l] X_k(n) e**(-i Delta_k n) + Z[l, n]
@@ -30,12 +35,12 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .access_pipeline import FrameConfig, MessagePayload, draw_messages, segment_pair_bits
+from .access_pipeline import FrameConfig, draw_messages, segment_pair_bits
 from .rm_codec import Codeword, bits_to_pair_batch, rm_samples_batch
 
 __all__ = [
     "GeometryConfig",
-    "DeviceRealization",
+    "Population",
     "SlotObservation",
     "expected_neighbors",
     "interference_power",
@@ -80,31 +85,57 @@ class GeometryConfig:
         return math.sqrt(self.area)
 
 
-@dataclass(frozen=True)
-class DeviceRealization:
-    """One device: geometry, fading, channel, timing, and its message plan."""
+# dtype and dimension count of every Population field
+_POPULATION_FIELDS = {
+    "distance": (np.float64, 1),
+    "gains": (np.float64, 2),
+    "phases": (np.float64, 2),
+    "h": (np.complex128, 2),
+    "tau": (np.float64, 1),
+    "delta": (np.float64, 1),
+    "info": (np.uint8, 2),
+    "segments": (np.uint8, 3),
+    "slots": (np.int64, 3),
+}
 
-    distance: float
+
+@dataclass(frozen=True)
+class Population:
+    """One frame's devices as stacked arrays, one row per device.
+
+    distance, tau, delta: (K,); gains, phases: (K, r) fading powers and
+    phases, h: (K, r) complex channels; info: (K, B) message bits;
+    segments: (K, 2**d, segment_bits) tree-coded sub-block segments;
+    slots: (K, 2**d, copies) slot index of every transmitted copy.  The
+    arrays are made read-only; only their shapes are checked.
+    """
+
+    distance: np.ndarray
     gains: np.ndarray
     phases: np.ndarray
     h: np.ndarray
-    tau: float
-    delta: float
-    message: MessagePayload
+    tau: np.ndarray
+    delta: np.ndarray
+    info: np.ndarray
+    segments: np.ndarray
+    slots: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("gains", "phases", "h"):
-            arr = np.ascontiguousarray(getattr(self, name))
+        for name, (dtype, ndim) in _POPULATION_FIELDS.items():
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.ndim != ndim:
+                raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if len({getattr(self, name).shape[0] for name in _POPULATION_FIELDS}) != 1:
+            raise ValueError("population arrays disagree on the device count")
+        if not self.gains.shape == self.phases.shape == self.h.shape:
+            raise ValueError("gains, phases and h must share one (K, r) shape")
+        if self.segments.shape[1] != self.slots.shape[1]:
+            raise ValueError("segments and slots disagree on the sub-block count")
 
-    @property
-    def payload(self) -> np.ndarray:
-        return self.message.info
-
-    @property
-    def slots(self) -> np.ndarray:
-        return self.message.slots
+    def __len__(self) -> int:
+        return self.distance.shape[0]
 
 
 @dataclass(frozen=True)
@@ -143,9 +174,7 @@ def interference_power(cfg: GeometryConfig) -> float:
     return (cfg.r * cfg.theta) ** (1.0 - 2.0 / cfg.alpha) * prefactor * _gamma_ratio(cfg)
 
 
-def sample_frame(
-    cfg: GeometryConfig, frame: FrameConfig, rng: np.random.Generator
-) -> list[DeviceRealization]:
+def sample_frame(cfg: GeometryConfig, frame: FrameConfig, rng: np.random.Generator) -> Population:
     """Draw one frame's device population.
 
     Draw order is fixed (count, positions, fading, phases, delays, then
@@ -168,32 +197,14 @@ def sample_frame(
     else:
         delta = rng.uniform(-math.pi, math.pi, size=count)
         tau = np.clip(delta / (2.0 * math.pi * frame.delta_f), 0.0, frame.tau_max)
-    messages = draw_messages(frame, rng, count)
-    return [
-        DeviceRealization(
-            distance=float(dist[k]),
-            gains=gains[k],
-            phases=phases[k],
-            h=h[k],
-            tau=float(tau[k]),
-            delta=float(delta[k]),
-            message=messages[k],
-        )
-        for k in range(count)
-    ]
+    info, segments, slots = draw_messages(frame, rng, count)
+    return Population(dist, gains, phases, h, tau, delta, info, segments, slots)
 
 
-def classify_neighbors(
-    devices: Sequence[DeviceRealization], cfg: GeometryConfig
-) -> tuple[list[DeviceRealization], list[DeviceRealization]]:
-    """Partition into (in_cell, out_of_cell) by
+def classify_neighbors(pop: Population, cfg: GeometryConfig) -> np.ndarray:
+    """In-cell mask over the population's rows:
     distance**(-alpha) * sum(gains) >= r * theta."""
-    in_cell: list[DeviceRealization] = []
-    out_cell: list[DeviceRealization] = []
-    for dev in devices:
-        aggregate = float(dev.distance ** (-cfg.alpha) * dev.gains.sum())
-        (in_cell if aggregate >= cfg.r * cfg.theta else out_cell).append(dev)
-    return in_cell, out_cell
+    return pop.distance ** (-cfg.alpha) * pop.gains.sum(axis=1) >= cfg.r * cfg.theta
 
 
 def _tx_samples(codeword) -> np.ndarray:
@@ -244,7 +255,7 @@ def synthesize_slot(
 
 
 def frame_observations(
-    devices: Sequence[DeviceRealization],
+    pop: Population,
     frame: FrameConfig,
     cfg: GeometryConfig,
     rng: np.random.Generator | None = None,
@@ -261,6 +272,19 @@ def frame_observations(
     """
     r, n = cfg.r, frame.seq_len
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
+    k = len(pop)
+    if pop.h.shape[1] != r:
+        raise ValueError("device channel dimension does not match the antenna count")
+    if pop.slots.shape[1:] != (n_sub, frame.copies):
+        raise ValueError(
+            f"slots of shape {pop.slots.shape[1:]} per device do not match the frame's "
+            f"{(n_sub, frame.copies)}"
+        )
+    if pop.segments.shape[2] != frame.segment_bits:
+        raise ValueError(
+            f"segments of {pop.segments.shape[2]} bits do not match the frame's "
+            f"{frame.segment_bits}"
+        )
     if noise_on:
         if rng is None:
             raise ValueError("noise synthesis needs a generator")
@@ -268,29 +292,22 @@ def frame_observations(
         Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     else:
         Y = np.zeros((n_sub, n_slots, r, n), dtype=np.complex128)
-    if devices:
-        k = len(devices)
-        segments = np.stack([dev.message.segments for dev in devices])
-        slots = np.stack([dev.message.slots for dev in devices])
-        h = np.stack([dev.h for dev in devices])
-        if h.shape[1] != r:
-            raise ValueError("device channel dimension does not match the antenna count")
-        delta = np.array([dev.delta for dev in devices])
+    if k:
         n_idx = np.arange(1, n + 1)
-        flat = segments.reshape(k * n_sub, frame.segment_bits)
+        flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
         amp = math.sqrt(cfg.gamma)
         for c in range(frame.copies):
             Ps, bs = bits_to_pair_batch(segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1)))
             Ps = Ps.reshape(k, n_sub, frame.m, frame.m)
             bs = bs.reshape(k, n_sub, frame.m)
             for j in range(n_sub):
-                landed = slots[:, j, c]
+                landed = pop.slots[:, j, c]
                 order = np.argsort(landed, kind="stable")
                 starts = np.flatnonzero(np.diff(landed[order])) + 1
                 for sel in np.split(order, starts):
                     X = rm_samples_batch(Ps[sel, j], bs[sel, j])
-                    X = X * np.exp(-1j * np.outer(delta[sel], n_idx))
-                    Y[j, landed[sel[0]]] += amp * np.einsum("kl,kn->ln", h[sel], X)
+                    X = X * np.exp(-1j * np.outer(pop.delta[sel], n_idx))
+                    Y[j, landed[sel[0]]] += amp * np.einsum("kl,kn->ln", pop.h[sel], X)
     return [
         [SlotObservation(Y=Y[j, i], slot=int(i)) for i in range(n_slots)] for j in range(n_sub)
     ]

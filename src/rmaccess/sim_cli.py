@@ -10,8 +10,8 @@ Per-trial seeds derive from (master seed, point, trial), so records do not
 depend on worker scheduling.  The RMACCESS_WORKERS environment variable (or
 --workers) caps the process pool; 1 runs everything in-process.
 
-Subcommands: run (a YAML spec file or a named preset), bench (decoder
-wall-time scaling), verify (the test suite).
+Subcommands: run (a YAML spec file or a named preset) and bench (decoder
+wall-time scaling).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import itertools
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -245,16 +243,16 @@ def run_single_trial(spec: ExperimentSpec, point: dict, trial: int) -> dict:
     rng = np.random.default_rng(seed_seq)
     frame = spec.frame_for(point)
     geo = spec.geometry_for(point)
-    devices = sample_frame(geo, frame, rng)
-    observations = frame_observations(devices, frame, geo, rng, noise_on=True)
+    pop = sample_frame(geo, frame, rng)
+    observations = frame_observations(pop, frame, geo, rng, noise_on=True)
     det_cfg = spec.detector_for(point)
     started = time.perf_counter()
     decoded = decode_frame(
         observations, det_cfg, frame, power_floor=geo.gamma * geo.r * geo.theta
     )
     runtime = time.perf_counter() - started
-    in_cell, _ = classify_neighbors(devices, geo)
-    metrics = error_metrics(decoded.messages, [dev.message.info for dev in in_cell])
+    in_cell = classify_neighbors(pop, geo)
+    metrics = error_metrics(decoded.messages, list(pop.info[in_cell]))
     return {
         **{axis: int(point[axis]) for axis in _AXES},
         "trial": int(trial),
@@ -466,17 +464,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    root = Path(__file__).resolve().parents[2]
-    target = root / "tests"
-    cmd = [sys.executable, "-m", "pytest", "-v"]
-    if target.is_dir():
-        cmd.append(str(target))
-    if args.expr:
-        cmd.extend(["-k", args.expr])
-    return subprocess.call(cmd)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="rmaccess", description="Monte Carlo harness for the access simulator"
@@ -498,10 +485,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--reps", type=int, default=3, help="repetitions per point (best kept)")
     p_bench.add_argument("--seed", type=int, default=2024)
     p_bench.set_defaults(func=_cmd_bench)
-
-    p_verify = sub.add_parser("verify", help="run the package test suite")
-    p_verify.add_argument("-k", dest="expr", help="pytest -k expression")
-    p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -17,7 +17,6 @@ is dropped and the loop stops).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "estimate_final",
     "refine_delay",
     "reconstruct_signal",
-    "cancel",
     "detect_slot",
 ]
 
@@ -253,18 +251,6 @@ def reconstruct_signal(pair: RmPair, h_hat: np.ndarray, delta_hat: float) -> np.
     samples = rm_samples(pair.P, pair.b)
     n_idx = np.arange(1, samples.size + 1)
     return np.outer(np.asarray(h_hat), samples * np.exp(-1j * delta_hat * n_idx))
-
-
-def cancel(observation, detection: Detection):
-    """Subtract a detection's reconstructed signal from an observation.
-
-    Accepts either a raw antennas x subcarriers array or an observation
-    object with a .Y attribute; returns the same kind it was given.
-    """
-    rebuilt = reconstruct_signal(detection.pair, detection.h_hat, detection.delta_hat)
-    if isinstance(observation, np.ndarray):
-        return observation - rebuilt
-    return dataclasses.replace(observation, Y=observation.Y - rebuilt)
 
 
 def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):

@@ -55,7 +55,7 @@ def test_criterion_1_geometry_closed_forms(criterion_report):
         k_star = expected_neighbors(geo)
         ok &= abs(k_star - rounded) < 0.05
         rng = np.random.default_rng(2024 + r)
-        counts = [len(classify_neighbors(sample_frame(geo, frame, rng), geo)[0]) for _ in range(1000)]
+        counts = [classify_neighbors(sample_frame(geo, frame, rng), geo).sum() for _ in range(1000)]
         mc = float(np.mean(counts))
         ok &= abs(mc - k_star) <= 0.05 * k_star
         details.append(f"r={r}: K*={k_star:.4f} MC={mc:.4f}")

@@ -1,29 +1,35 @@
-"""Frame scheme tests: configuration arithmetic, the tree code, slot
-assignment, and the full frame decoder on constructed scenes."""
+"""Frame scheme tests: configuration arithmetic, the tree code, message
+plans and slot assignment, and the full frame decoder on constructed
+scenes."""
 
 import numpy as np
 import pytest
 
 from rmaccess.access_pipeline import (
     FrameConfig,
-    assign_slots,
     decode_frame,
     draw_messages,
-    encode_payload,
     error_metrics,
-    segment_pair,
     segment_pair_bits,
     tree_decode,
     tree_encode,
     tree_encode_batch,
 )
 from rmaccess.geometry_channel import (
-    DeviceRealization,
     GeometryConfig,
+    Population,
     frame_observations,
     synthesize_slot,
 )
-from rmaccess.rm_codec import generate_sequence, pair_to_bits, unpack_bits
+from rmaccess.rm_codec import (
+    RmPair,
+    bits_to_int,
+    bits_to_pair,
+    generate_sequence,
+    pack_bits,
+    pair_to_bits,
+    unpack_bits,
+)
 from rmaccess.slot_detector import DetectorConfig
 
 
@@ -141,16 +147,25 @@ def test_tree_decode_dedup_and_overflow():
     np.testing.assert_array_equal(capped.messages[0], info)
 
 
+def segment_pair(segment: np.ndarray, cfg: FrameConfig, secondary: bool) -> RmPair:
+    """Transmit pair of one copy of one sub-block segment, through the
+    single-pair encoder: the reference for segment_pair_bits."""
+    segment = np.asarray(segment, dtype=np.uint8)
+    assert segment.shape == (cfg.segment_bits,)
+    if cfg.synchronous:
+        assert not secondary
+        return pack_bits(segment[cfg.p :], np.zeros(0, np.uint8), False, cfg.layout)
+    return pack_bits(segment[2 * cfg.p :], segment[cfg.p : 2 * cfg.p], secondary, cfg.layout)
+
+
 def test_segment_pair_copies():
     cfg = FrameConfig(m=5, p=2)
     rng = np.random.default_rng(64)
     seg = rng.integers(0, 2, size=cfg.segment_bits, dtype=np.uint8)
     seg[2:4] = [1, 0]  # nonzero translate
-    primary = segment_pair(seg, cfg, False)
-    secondary = segment_pair(seg, cfg, True)
-    bits_p, bits_s = pair_to_bits(primary), pair_to_bits(secondary)
+    bits_p, bits_s = segment_pair_bits(np.stack([seg, seg]), cfg, np.array([False, True]))
     assert np.flatnonzero(bits_p != bits_s).tolist() == [cfg.layout.check_pos]
-    payload, translate, is_sec = unpack_bits(secondary, cfg.layout)
+    payload, translate, is_sec = unpack_bits(bits_to_pair(bits_s), cfg.layout)
     np.testing.assert_array_equal(payload, seg[2 * cfg.p :])
     np.testing.assert_array_equal(translate, seg[cfg.p : 2 * cfg.p])
     assert is_sec
@@ -173,65 +188,52 @@ def test_segment_pair_bits_matches_single():
         pair_to_bits(segment_pair(seg, sync, False)),
     )
     with pytest.raises(ValueError):
-        segment_pair(seg, sync, True)  # single-copy scheme
+        segment_pair_bits(seg[None], sync, np.array([True]))  # single-copy scheme
 
 
-def test_assign_slots():
-    cfg = FrameConfig(m=5, p=3)
-    rng = np.random.default_rng(66)
-    seg = rng.integers(0, 2, size=cfg.segment_bits, dtype=np.uint8)
-    seg[:3] = [1, 0, 1]  # primary slot 5
-    seg[3:6] = [0, 1, 1]  # translate 3
-    primary, secondary, pp, ps = assign_slots(seg, cfg)
-    assert primary == 5 and secondary == 5 ^ 3
-    assert pair_to_bits(pp)[cfg.layout.check_pos] == 0
-    assert pair_to_bits(ps)[cfg.layout.check_pos] == 1
-
-    # zero translate: rejected without a generator, resampled with one
-    seg[3:6] = 0
-    with pytest.raises(ValueError):
-        assign_slots(seg, cfg)
-    primary, secondary, pp, _ = assign_slots(seg, cfg, np.random.default_rng(67))
-    assert secondary != primary
-    _, new_translate, _ = unpack_bits(pp, cfg.layout)
-    assert new_translate.any()
-    assert primary ^ int("".join(map(str, new_translate)), 2) == secondary
-
-    with pytest.raises(ValueError):
-        assign_slots(seg, FrameConfig(m=5, p=3, tau_max=0.0))
-
-
-def test_encode_payload_and_draw_messages():
+def test_draw_messages():
     cfg = FrameConfig(m=5, p=2, d=1)
     rng = np.random.default_rng(68)
-    msgs = draw_messages(cfg, rng, 400)
-    assert len(msgs) == 400
-    for msg in msgs[:50]:
-        assert msg.info.size == cfg.message_bits
-        assert msg.segments.shape == (2, cfg.segment_bits)
-        assert msg.slots.shape == (2, 2)
-        # every sub-block's two copies land in distinct slots
-        assert (msg.slots[:, 0] != msg.slots[:, 1]).all()
-        rebuilt = encode_payload(msg.info, cfg)
-        np.testing.assert_array_equal(rebuilt.segments, msg.segments)
-        np.testing.assert_array_equal(rebuilt.slots, msg.slots)
-    # a payload whose encoding has a zero translate is not encodable
-    bad = None
-    probe = np.random.default_rng(69)
-    while bad is None:
-        cand = probe.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
-        segs = tree_encode(cand, cfg)
-        if not segs[:, cfg.p : 2 * cfg.p].any(axis=1).all():
-            bad = cand
+    info, segs, slots = draw_messages(cfg, rng, 400)
+    assert info.shape == (400, cfg.message_bits)
+    assert segs.shape == (400, 2, cfg.segment_bits)
+    assert slots.shape == (400, 2, 2)
+    np.testing.assert_array_equal(segs, tree_encode_batch(info, cfg))
+    # primary slot from the first p segment bits, secondary through the translate
+    for k in range(50):
+        for j in range(cfg.n_subblocks):
+            primary = bits_to_int(segs[k, j, : cfg.p])
+            assert slots[k, j, 0] == primary
+            assert slots[k, j, 1] == primary ^ bits_to_int(segs[k, j, cfg.p : 2 * cfg.p])
+    # zero-translate payloads were redrawn whole: every sub-block's two copies
+    # land in distinct slots
+    assert (slots[:, :, 0] != slots[:, :, 1]).all()
+
+    sync = FrameConfig(m=5, p=2, d=1, tau_max=0.0)
+    info, segs, slots = draw_messages(sync, rng, 30)
+    np.testing.assert_array_equal(slots[:, :, 0], segs[:, :, : sync.p] @ np.array([2, 1]))
+    assert slots.shape == (30, 2, 1)
+    info, segs, slots = draw_messages(cfg, rng, 0)
+    assert info.shape == (0, cfg.message_bits) and slots.shape == (0, 2, 2)
     with pytest.raises(ValueError):
-        encode_payload(bad, cfg)
+        draw_messages(cfg, rng, -1)
 
 
-def _device(msg, h, delta=0.0):
-    return DeviceRealization(
-        distance=1.0, gains=np.abs(h) ** 2, phases=np.angle(h),
-        h=h, tau=0.0, delta=delta, message=msg,
+def _population(messages, h, delta=None):
+    """Devices at distance 1 sending the given messages, a sequence of
+    (info, segments, slots) rows, over channels h (k, r) with delays (k,)."""
+    h = np.asarray(h, dtype=np.complex128)
+    k = h.shape[0]
+    delta = np.zeros(k) if delta is None else delta
+    info, segments, slots = (np.stack(field) for field in zip(*messages))
+    return Population(
+        np.ones(k), np.abs(h) ** 2, np.angle(h), h, np.zeros(k), delta, info, segments, slots
     )
+
+
+def _rows(messages):
+    """draw_messages' stacked arrays as per-message (info, segments, slots) rows."""
+    return list(zip(*messages))
 
 
 NOISELESS = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
@@ -240,15 +242,15 @@ NOISELESS = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1
 def test_decode_frame_single_device():
     frame = FrameConfig(m=4, p=2, d=0)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=2.0, r=2)
-    msg = draw_messages(frame, np.random.default_rng(70), 1)[0]
-    dev = _device(msg, np.array([0.8 + 0.1j, -0.3 + 1.1j]), 0.4)
-    obs = frame_observations([dev], frame, geo, noise_on=False)
+    msg = _rows(draw_messages(frame, np.random.default_rng(70), 1))[0]
+    pop = _population([msg], [[0.8 + 0.1j, -0.3 + 1.1j]], [0.4])
+    obs = frame_observations(pop, frame, geo, noise_on=False)
     out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
     assert len(out.messages) == 1
-    np.testing.assert_array_equal(out.messages[0], msg.info)
+    np.testing.assert_array_equal(out.messages[0], msg[0])
     assert out.candidate_counts == [1]
     assert out.delays[0][0] == pytest.approx(0.4, abs=1e-6)
-    np.testing.assert_allclose(out.channels[0][0], np.sqrt(2.0) * dev.h, atol=1e-9)
+    np.testing.assert_allclose(out.channels[0][0], np.sqrt(2.0) * pop.h[0], atol=1e-9)
     assert not out.overflow
 
 
@@ -260,8 +262,8 @@ def test_decode_frame_cross_slot_cancellation():
     rng = np.random.default_rng(0)
     msg_a = msg_b = None
     while msg_a is None or msg_b is None:
-        m = draw_messages(frame, rng, 1)[0]
-        s = m.slots[0]
+        m = _rows(draw_messages(frame, rng, 1))[0]
+        s = m[2][0]
         if msg_a is None and s[0] == 0 and s[1] == 2:
             msg_a = m
         elif msg_b is None and s[0] == 2 and s[1] == 3:
@@ -270,21 +272,20 @@ def test_decode_frame_cross_slot_cancellation():
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=4)
     h_a = 4.0 * np.exp(1j * rng2.uniform(0, 2 * np.pi, 4))
     h_b = 1.0 * np.exp(1j * rng2.uniform(0, 2 * np.pi, 4))
-    obs = frame_observations(
-        [_device(msg_a, h_a, 0.5), _device(msg_b, h_b, -0.9)], frame, geo, noise_on=False
-    )
+    pop = _population([msg_a, msg_b], [h_a, h_b], [0.5, -0.9])
+    obs = frame_observations(pop, frame, geo, noise_on=False)
     out = decode_frame(obs, DetectorConfig(k_max=1, eps=1e-6), frame)
     got = {m.tobytes() for m in out.messages}
-    assert got == {msg_a.info.tobytes(), msg_b.info.tobytes()}
+    assert got == {msg_a[0].tobytes(), msg_b[0].tobytes()}
 
 
 def test_decode_frame_secondary_copy_alone_recovers():
     # only the check-flipped copy is on the air; the decoder walks the
     # translate back to the primary slot index
     frame = FrameConfig(m=4, p=2, d=0)
-    msg = draw_messages(frame, np.random.default_rng(1), 1)[0]
-    seg = msg.segments[0]
-    s_sec = int(msg.slots[0, 1])
+    info, segs, slots = draw_messages(frame, np.random.default_rng(1), 1)
+    seg = segs[0, 0]
+    s_sec = int(slots[0, 0, 1])
     pair_sec = segment_pair(seg, frame, True)
     grid = [[synthesize_slot([], 1.0, False, r=2, n=16, slot=i) for i in range(4)]]
     grid[0][s_sec] = synthesize_slot(
@@ -292,7 +293,7 @@ def test_decode_frame_secondary_copy_alone_recovers():
     )
     out = decode_frame(grid, DetectorConfig(k_max=2, eps=1e-9), frame)
     assert len(out.messages) == 1
-    np.testing.assert_array_equal(out.messages[0], msg.info)
+    np.testing.assert_array_equal(out.messages[0], info[0])
     assert out.candidate_counts == [1]
 
 
@@ -300,9 +301,9 @@ def test_decode_frame_dedups_straggling_copy():
     """If the queued cancellation misses (here: the copies disagree on the
     channel), the re-detected copy maps to the same segment and is dropped."""
     frame = FrameConfig(m=4, p=2, d=0)
-    msg = draw_messages(frame, np.random.default_rng(1), 1)[0]
-    seg = msg.segments[0]
-    s_pri, s_sec = int(msg.slots[0, 0]), int(msg.slots[0, 1])
+    info, segs, slots = draw_messages(frame, np.random.default_rng(1), 1)
+    seg = segs[0, 0]
+    s_pri, s_sec = int(slots[0, 0, 0]), int(slots[0, 0, 1])
     h = np.array([1.0 + 0.2j, -0.5j])
     grid = [[synthesize_slot([], 1.0, False, r=2, n=16, slot=i) for i in range(4)]]
     grid[0][s_sec] = synthesize_slot(
@@ -314,38 +315,35 @@ def test_decode_frame_dedups_straggling_copy():
     out = decode_frame(grid, DetectorConfig(k_max=3, eps=1e-9), frame)
     assert out.candidate_counts == [1]
     assert len(out.messages) == 1
-    np.testing.assert_array_equal(out.messages[0], msg.info)
+    np.testing.assert_array_equal(out.messages[0], info[0])
 
 
 def test_decode_frame_power_floor_screens_but_cancels():
     frame = FrameConfig(m=4, p=2, d=0)
     rng = np.random.default_rng(5)
-    msg_a, msg_b = draw_messages(frame, rng, 2)
-    strong = _device(msg_a, np.array([3.0, 4.0j]), 0.2)
-    weak = _device(msg_b, np.array([0.1, 0.1j]), -0.4)
-    obs = frame_observations([strong, weak], frame, NOISELESS, noise_on=False)
+    msgs = _rows(draw_messages(frame, rng, 2))  # strong, then weak
+    pop = _population(msgs, [[3.0, 4.0j], [0.1, 0.1j]], [0.2, -0.4])
+    obs = frame_observations(pop, frame, NOISELESS, noise_on=False)
     det = DetectorConfig(k_max=4, eps=1e-9)
     everything = decode_frame(obs, det, frame)
     assert {m.tobytes() for m in everything.messages} == {
-        msg_a.info.tobytes(), msg_b.info.tobytes()
+        msgs[0][0].tobytes(), msgs[1][0].tobytes()
     }
     screened = decode_frame(obs, det, frame, power_floor=1.0)
     assert len(screened.messages) == 1
-    np.testing.assert_array_equal(screened.messages[0], msg_a.info)
+    np.testing.assert_array_equal(screened.messages[0], msgs[0][0])
     assert screened.candidate_counts == [1]
 
 
 def test_decode_frame_synchronous():
     frame = FrameConfig(m=5, p=2, tau_max=0.0)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
-    msgs = draw_messages(frame, np.random.default_rng(6), 3)
-    devices = [
-        _device(m, np.exp(1j * k) * np.array([1.0, 1.4j])) for k, m in enumerate(msgs)
-    ]
-    obs = frame_observations(devices, frame, geo, noise_on=False)
+    msgs = _rows(draw_messages(frame, np.random.default_rng(6), 3))
+    h = np.exp(1j * np.arange(3))[:, None] * np.array([1.0, 1.4j])
+    obs = frame_observations(_population(msgs, h), frame, geo, noise_on=False)
     cfg = DetectorConfig(k_max=4, eps=1e-6, estimate_delay=False)
     out = decode_frame(obs, cfg, frame)
-    assert {m.tobytes() for m in out.messages} == {m.info.tobytes() for m in msgs}
+    assert {m.tobytes() for m in out.messages} == {m[0].tobytes() for m in msgs}
     for delays in out.delays:
         assert not delays.any()
 

@@ -2,6 +2,7 @@
 interference expressions against numerical integrals and frozen values, the
 frame sampler's draw conventions, and the slot synthesis paths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from scipy.special import gammainc, gammaincc
 
 from rmaccess.access_pipeline import FrameConfig, draw_messages
 from rmaccess.geometry_channel import (
-    DeviceRealization,
     GeometryConfig,
+    Population,
     classify_neighbors,
     expected_neighbors,
     frame_observations,
@@ -21,8 +22,14 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
     time_domain_reference,
 )
-from rmaccess.rm_codec import bits_to_pair, bits_to_pair_batch, generate_sequence, rm_samples_batch
-from rmaccess.access_pipeline import segment_pair, segment_pair_bits
+from rmaccess.rm_codec import (
+    bits_to_pair,
+    bits_to_pair_batch,
+    generate_sequence,
+    pack_bits,
+    rm_samples_batch,
+)
+from rmaccess.access_pipeline import segment_pair_bits
 
 # the standard operating geometry: 4000 devices per km^2, 60 dB power
 GEO_R1 = GeometryConfig(density=0.004, area=250_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=1)
@@ -72,17 +79,10 @@ def test_sample_frame_is_reproducible():
     geo = GeometryConfig(density=4e-4, area=62_500.0, alpha=4.0, theta=1e-6, gamma=1e6, r=2)
     a = sample_frame(geo, frame, np.random.default_rng(33))
     b = sample_frame(geo, frame, np.random.default_rng(33))
-    assert len(a) == len(b)
-    for da, db in zip(a, b):
-        assert da.distance == db.distance
-        np.testing.assert_array_equal(da.h, db.h)
-        assert da.delta == db.delta and da.tau == db.tau
-        np.testing.assert_array_equal(da.message.info, db.message.info)
-        np.testing.assert_array_equal(da.message.slots, db.message.slots)
+    for field in dataclasses.fields(Population):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
     c = sample_frame(geo, frame, np.random.default_rng(34))
-    assert len(c) != len(a) or any(
-        da.distance != dc.distance for da, dc in zip(a, c)
-    )
+    assert len(c) != len(a) or not np.array_equal(a.distance, c.distance)
 
 
 def test_sample_frame_population_statistics():
@@ -92,29 +92,35 @@ def test_sample_frame_population_statistics():
     rng = np.random.default_rng(35)
     counts, gains = [], []
     for _ in range(1500):
-        devs = sample_frame(geo, frame, rng)
-        counts.append(len(devs))
-        gains.extend(dev.gains.mean() for dev in devs[:3])
+        pop = sample_frame(geo, frame, rng)
+        counts.append(len(pop))
+        gains.extend(pop.gains[:3].mean(axis=1))
     assert np.mean(counts) == pytest.approx(20.0, abs=0.5)
     assert np.mean(gains) == pytest.approx(1.0, abs=0.05)
 
 
 def test_sample_frame_channel_composition():
-    frame = FrameConfig(m=4, p=2)
+    frame = FrameConfig(m=4, p=2, d=1)
     geo = GeometryConfig(density=4e-4, area=62_500.0, alpha=4.0, theta=1e-6, gamma=1e6, r=3)
-    for dev in sample_frame(geo, frame, np.random.default_rng(36)):
-        expect = dev.distance ** (-geo.alpha / 2.0) * np.sqrt(dev.gains) * np.exp(1j * dev.phases)
-        np.testing.assert_allclose(dev.h, expect, rtol=1e-12)
-        assert dev.distance <= geo.side / math.sqrt(2.0) + 1e-9
+    pop = sample_frame(geo, frame, np.random.default_rng(36))
+    k = len(pop)
+    assert k > 0 and pop.h.shape == pop.gains.shape == pop.phases.shape == (k, geo.r)
+    assert pop.info.shape == (k, frame.message_bits)
+    assert pop.segments.shape == (k, frame.n_subblocks, frame.segment_bits)
+    assert pop.slots.shape == (k, frame.n_subblocks, frame.copies)
+    expect = pop.distance[:, None] ** (-geo.alpha / 2.0) * np.sqrt(pop.gains) * np.exp(1j * pop.phases)
+    np.testing.assert_allclose(pop.h, expect, rtol=1e-12)
+    assert (pop.distance <= geo.side / math.sqrt(2.0) + 1e-9).all()
+    with pytest.raises(ValueError):
+        pop.h[0, 0] = 0.0  # the population is read-only
 
 
 def test_delay_conventions():
     """The normalized delay governs; tau is its clamp into the prefix window."""
     frame = FrameConfig(m=4, p=2, delta_f=15e3, tau_max=10e-6)
     geo = GeometryConfig(density=2e-3, area=62_500.0, alpha=4.0, theta=1e-6, gamma=1e6, r=1)
-    devs = sample_frame(geo, frame, np.random.default_rng(37))
-    deltas = np.array([d.delta for d in devs])
-    taus = np.array([d.tau for d in devs])
+    pop = sample_frame(geo, frame, np.random.default_rng(37))
+    deltas, taus = pop.delta, pop.tau
     assert deltas.min() >= -math.pi and deltas.max() < math.pi
     np.testing.assert_array_equal(
         taus, np.clip(deltas / (2.0 * math.pi * frame.delta_f), 0.0, frame.tau_max)
@@ -123,44 +129,98 @@ def test_delay_conventions():
     assert (taus == frame.tau_max).any()  # large positive deltas saturate
 
     sync = FrameConfig(m=4, p=2, tau_max=0.0)
-    for dev in sample_frame(geo, sync, np.random.default_rng(38)):
-        assert dev.delta == 0.0 and dev.tau == 0.0
+    pop = sample_frame(geo, sync, np.random.default_rng(38))
+    assert len(pop) and not pop.delta.any() and not pop.tau.any()
 
 
-def _payload_device(frame, rng, h, delta=0.0):
-    msg = draw_messages(frame, rng, 1)[0]
-    return DeviceRealization(
-        distance=1.0,
-        gains=np.abs(h) ** 2,
-        phases=np.angle(h),
-        h=h,
-        tau=0.0,
-        delta=delta,
-        message=msg,
-    )
+def _population(h, delta, messages):
+    """Devices at distance 1 with channels h (k, r), delays (k,) and the
+    stacked messages of draw_messages."""
+    h = np.asarray(h, dtype=np.complex128)
+    k = h.shape[0]
+    return Population(np.ones(k), np.abs(h) ** 2, np.angle(h), h, np.zeros(k), delta, *messages)
+
+
+def _random_population(frame, rng, k, r):
+    h = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    delta = rng.uniform(-math.pi, math.pi, size=k)
+    return _population(h, delta, draw_messages(frame, rng, k))
 
 
 def test_classify_neighbors_boundary():
     frame = FrameConfig(m=4, p=2)
     geo = GeometryConfig(density=1e-4, area=1e4, alpha=4.0, theta=1e-6, gamma=1e6, r=2)
-    rng = np.random.default_rng(39)
-    msg = draw_messages(frame, rng, 1)[0]
-
-    def dev_at(distance, gain_total):
-        gains = np.full(2, gain_total / 2.0)
-        return DeviceRealization(
-            distance=distance, gains=gains, phases=np.zeros(2),
-            h=distance ** (-2.0) * np.sqrt(gains), tau=0.0, delta=0.0, message=msg,
-        )
-
     threshold = geo.r * geo.theta
-    d = 20.0
-    exactly = dev_at(d, threshold * d**4)
-    below = dev_at(d, threshold * d**4 * 0.999)
-    above = dev_at(d, threshold * d**4 * 1.001)
-    in_cell, out_cell = classify_neighbors([exactly, below, above], geo)
-    assert any(d is exactly for d in in_cell) and any(d is above for d in in_cell)
-    assert any(d is below for d in out_cell) and len(out_cell) == 1
+    d = 16.0  # d**4 is a power of two, so the first aggregate hits the threshold exactly
+    totals = threshold * d**4 * np.array([1.0, 0.999, 1.001])  # exactly, below, above
+    gains = np.repeat(totals[:, None] / 2.0, 2, axis=1)
+    pop = Population(
+        np.full(3, d), gains, np.zeros((3, 2)), d ** (-2.0) * np.sqrt(gains),
+        np.zeros(3), np.zeros(3), *draw_messages(frame, np.random.default_rng(39), 3),
+    )
+    assert d ** (-geo.alpha) * gains[0].sum() == threshold
+    np.testing.assert_array_equal(classify_neighbors(pop, geo), [True, False, True])
+
+
+@pytest.mark.parametrize("r", [1, 16])
+def test_classify_neighbors_matches_scalar_formula(r):
+    """The vectorized mask against the per-device formula it replaced."""
+    frame = FrameConfig(m=4, p=2)
+    geo = GeometryConfig(density=2e-3, area=250_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=r)
+    pop = sample_frame(geo, frame, np.random.default_rng(48))
+    scalar = [
+        float(float(d) ** (-geo.alpha) * g.sum()) >= geo.r * geo.theta
+        for d, g in zip(pop.distance, pop.gains)
+    ]
+    mask = classify_neighbors(pop, geo)
+    assert mask.dtype == bool and 0 < mask.sum() < len(pop)
+    np.testing.assert_array_equal(mask, scalar)
+
+
+def _rejects(pop, **bad):
+    with pytest.raises(ValueError):
+        dataclasses.replace(pop, **bad)
+
+
+def test_population_rejects_mismatched_counts():
+    pop = _random_population(FrameConfig(m=4, p=2, d=1), np.random.default_rng(49), 5, 2)
+    _rejects(pop, distance=np.ones(4))
+    _rejects(pop, delta=np.zeros(6))
+    _rejects(pop, info=pop.info[:4])
+    _rejects(pop, slots=pop.slots[:4])
+
+
+def test_population_rejects_mismatched_channel_shapes():
+    pop = _random_population(FrameConfig(m=4, p=2, d=1), np.random.default_rng(50), 5, 2)
+    _rejects(pop, gains=pop.gains[:, 0])  # not 2-D
+    _rejects(pop, h=pop.h[:, :1])  # another antenna count
+    _rejects(pop, phases=np.zeros((5, 3)))
+    _rejects(pop, distance=np.ones((5, 1)))
+
+
+def test_population_rejects_flat_segments_and_slots():
+    pop = _random_population(FrameConfig(m=4, p=2, d=1), np.random.default_rng(51), 5, 2)
+    _rejects(pop, segments=pop.segments[:, 0])
+    _rejects(pop, slots=pop.slots[:, :, 0])
+    _rejects(pop, slots=pop.slots[:, :1])  # sub-block count differs from segments'
+    assert len(dataclasses.replace(pop)) == 5
+
+
+def test_frame_observations_rejects_mismatched_plan():
+    frame = FrameConfig(m=4, p=2, d=1)
+    geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
+    pop = _random_population(frame, np.random.default_rng(52), 5, 2)
+    frame_observations(pop, frame, geo, noise_on=False)
+    # a plan drawn for another frame: sub-block count, copy count, segment size
+    for other, reason in [
+        (FrameConfig(m=4, p=2, d=0), "slots"),
+        (FrameConfig(m=4, p=2, d=1, tau_max=0.0), "slots"),
+        (FrameConfig(m=5, p=2, d=1), "segments"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{reason} of"):
+            frame_observations(pop, other, geo, noise_on=False)
+    with pytest.raises(ValueError, match="antenna count"):
+        frame_observations(pop, frame, dataclasses.replace(geo, r=3), noise_on=False)
 
 
 def test_synthesize_slot_matches_pointwise_formula():
@@ -209,24 +269,20 @@ def test_frame_observations_matches_manual_superposition():
     through the single-pair encoder."""
     frame = FrameConfig(m=4, p=2, d=1)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=3.0, r=2)
-    rng = np.random.default_rng(42)
-    devices = [
-        _payload_device(frame, rng, rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                        float(rng.uniform(-math.pi, math.pi)))
-        for _ in range(4)
-    ]
-    got = frame_observations(devices, frame, geo, noise_on=False)
-    n = frame.seq_len
+    pop = _random_population(frame, np.random.default_rng(42), 4, geo.r)
+    got = frame_observations(pop, frame, geo, noise_on=False)
+    n, p = frame.seq_len, frame.p
     ramp_base = np.arange(1, n + 1)
     expected = np.zeros((frame.n_subblocks, frame.n_slots, geo.r, n), dtype=complex)
-    for dev in devices:
-        ramp = np.exp(-1j * dev.delta * ramp_base)
+    for k in range(len(pop)):
+        ramp = np.exp(-1j * pop.delta[k] * ramp_base)
         for j in range(frame.n_subblocks):
+            seg = pop.segments[k, j]
             for c in range(frame.copies):
-                pair = segment_pair(dev.message.segments[j], frame, c == 1)
+                pair = pack_bits(seg[2 * p :], seg[p : 2 * p], c == 1, frame.layout)
                 X = generate_sequence(pair).samples
-                slot = int(dev.message.slots[j, c])
-                expected[j, slot] += math.sqrt(geo.gamma) * np.outer(dev.h, X * ramp)
+                slot = int(pop.slots[k, j, c])
+                expected[j, slot] += math.sqrt(geo.gamma) * np.outer(pop.h[k], X * ramp)
     for j in range(frame.n_subblocks):
         for i in range(frame.n_slots):
             assert got[j][i].slot == i
@@ -237,50 +293,47 @@ def test_frame_observations_noise_is_additive_and_seeded():
     frame = FrameConfig(m=4, p=2)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
     rng = np.random.default_rng(43)
-    devices = [_payload_device(frame, rng, np.array([1.0 + 0.3j, -0.2j]), 0.5)]
-    total = frame_observations(devices, frame, geo, np.random.default_rng(7), noise_on=True)
-    noise = frame_observations([], frame, geo, np.random.default_rng(7), noise_on=True)
-    signal = frame_observations(devices, frame, geo, noise_on=False)
+    pop = _population([[1.0 + 0.3j, -0.2j]], [0.5], draw_messages(frame, rng, 1))
+    empty = _population(np.zeros((0, 2)), [], draw_messages(frame, rng, 0))
+    total = frame_observations(pop, frame, geo, np.random.default_rng(7), noise_on=True)
+    noise = frame_observations(empty, frame, geo, np.random.default_rng(7), noise_on=True)
+    signal = frame_observations(pop, frame, geo, noise_on=False)
     for j in range(frame.n_subblocks):
         for i in range(frame.n_slots):
             np.testing.assert_allclose(
                 total[j][i].Y, noise[j][i].Y + signal[j][i].Y, rtol=1e-12, atol=1e-12
             )
     with pytest.raises(ValueError):
-        frame_observations(devices, frame, geo, noise_on=True)  # no generator
+        frame_observations(pop, frame, geo, noise_on=True)  # no generator
 
 
-def mask_loop_observations(devices, frame, cfg, rng):
+def mask_loop_observations(pop, frame, cfg, rng):
     # whole-population codewords and ramps, then one boolean mask per landed
     # slot: the synthesis loop frame_observations replaced
     r, n = cfg.r, frame.seq_len
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
     shape = (n_sub, n_slots, r, n)
     Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    if devices:
-        k = len(devices)
-        segments = np.stack([dev.message.segments for dev in devices])
-        slots = np.stack([dev.message.slots for dev in devices])
-        h = np.stack([dev.h for dev in devices])
-        delta = np.array([dev.delta for dev in devices])
-        ramp = np.exp(-1j * np.outer(delta, np.arange(1, n + 1)))
-        flat = segments.reshape(k * n_sub, frame.segment_bits)
+    k = len(pop)
+    if k:
+        ramp = np.exp(-1j * np.outer(pop.delta, np.arange(1, n + 1)))
+        flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
         amp = math.sqrt(cfg.gamma)
         for c in range(frame.copies):
             bits = segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1))
             X = rm_samples_batch(*bits_to_pair_batch(bits)).reshape(k, n_sub, n)
             X = X * ramp[:, None, :]
             for j in range(n_sub):
-                landed = slots[:, j, c]
+                landed = pop.slots[:, j, c]
                 for i in np.unique(landed):
                     sel = landed == i
-                    Y[j, i] += amp * np.einsum("kl,kn->ln", h[sel], X[sel, j])
+                    Y[j, i] += amp * np.einsum("kl,kn->ln", pop.h[sel], X[sel, j])
     return Y
 
 
-def _assert_matches_mask_loop(devices, frame, geo, seed=5):
-    got = frame_observations(devices, frame, geo, np.random.default_rng(seed))
-    expected = mask_loop_observations(devices, frame, geo, np.random.default_rng(seed))
+def _assert_matches_mask_loop(pop, frame, geo, seed=5):
+    got = frame_observations(pop, frame, geo, np.random.default_rng(seed))
+    expected = mask_loop_observations(pop, frame, geo, np.random.default_rng(seed))
     for j in range(frame.n_subblocks):
         for i in range(frame.n_slots):
             assert got[j][i].slot == i
@@ -301,24 +354,19 @@ def test_frame_observations_equals_mask_loop_exactly(frame):
     """Slot-group synthesis performs the same floating-point operations as
     the whole-population mask loop, so every observation is bit-identical."""
     geo = GeometryConfig(density=2e-3, area=20_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=3)
-    devices = sample_frame(geo, frame, np.random.default_rng(46))
-    assert len(devices) > 2 * frame.n_slots
-    _assert_matches_mask_loop(devices, frame, geo)
+    pop = sample_frame(geo, frame, np.random.default_rng(46))
+    assert len(pop) > 2 * frame.n_slots
+    _assert_matches_mask_loop(pop, frame, geo)
 
 
 def test_frame_observations_exact_with_empty_slots():
     frame = FrameConfig(m=4, p=4, d=1)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=3.0, r=2)
     rng = np.random.default_rng(47)
-    devices = [
-        _payload_device(frame, rng, rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                        float(rng.uniform(-math.pi, math.pi)))
-        for _ in range(3)
-    ]
-    landed = np.stack([dev.message.slots for dev in devices])
-    assert len(np.unique(landed[:, 0, :])) < frame.n_slots  # some slot stays empty
-    _assert_matches_mask_loop(devices, frame, geo)
-    _assert_matches_mask_loop([], frame, geo)
+    pop = _random_population(frame, rng, 3, geo.r)
+    assert len(np.unique(pop.slots[:, 0, :])) < frame.n_slots  # some slot stays empty
+    _assert_matches_mask_loop(pop, frame, geo)
+    _assert_matches_mask_loop(sample_frame(geo, frame, rng), frame, geo)  # no devices
 
 
 def test_time_domain_reference_equivalence():
