@@ -18,7 +18,6 @@ from .access_pipeline import (
 from .geometry_channel import (
     GeometryConfig,
     Population,
-    SlotObservation,
     classify_neighbors,
     expected_neighbors,
     frame_observations,
@@ -29,14 +28,13 @@ from .geometry_channel import (
 )
 from .rm_codec import (
     BitLayout,
-    Codeword,
     RmPair,
     binary_index,
     bits_to_int,
     bits_to_pair,
-    generate_sequence,
     pack_bits,
     pair_to_bits,
+    rm_samples,
     unpack_bits,
     wht,
 )
@@ -56,13 +54,12 @@ __all__ = [
     "__version__",
     # codec
     "RmPair",
-    "Codeword",
     "BitLayout",
     "binary_index",
     "bits_to_int",
     "bits_to_pair",
     "pair_to_bits",
-    "generate_sequence",
+    "rm_samples",
     "pack_bits",
     "unpack_bits",
     "wht",
@@ -85,7 +82,6 @@ __all__ = [
     # geometry and channel
     "GeometryConfig",
     "Population",
-    "SlotObservation",
     "expected_neighbors",
     "interference_power",
     "sample_frame",

@@ -344,13 +344,14 @@ def _flip_check(pair: RmPair, layout: BitLayout) -> RmPair:
 
 
 def decode_frame(
-    observations: Sequence[Sequence],
+    observations: np.ndarray,
     det_cfg: DetectorConfig,
     cfg: FrameConfig,
     path_cap: int = 1 << 14,
     power_floor: float | None = None,
 ) -> FrameDecodeResult:
-    """Decode a whole frame of 2**d x 2**p slot observations.
+    """Decode a whole frame of slot observations, an array of shape
+    (2**d, 2**p, r, 2**m) indexed [sub_block, slot].
 
     Slots are swept in index order per sub-block.  Every detection is mapped
     back to its sub-block segment (a secondary copy locates its primary slot
@@ -364,23 +365,25 @@ def decode_frame(
     not reported.  Pass gamma * r * theta to match the in-cell definition;
     None reports everything.
     """
-    if len(observations) != cfg.n_subblocks:
-        raise ValueError(f"expected observations for {cfg.n_subblocks} sub-blocks")
+    observations = np.asarray(observations, dtype=np.complex128)
+    shape = observations.shape
+    if len(shape) != 4 or shape[:2] != (cfg.n_subblocks, cfg.n_slots) or shape[3] != cfg.seq_len:
+        raise ValueError(
+            f"expected observations of shape (2**d, 2**p, r, 2**m) = "
+            f"({cfg.n_subblocks}, {cfg.n_slots}, r, {cfg.seq_len}), got {shape}"
+        )
     layout = cfg.layout
     cand_segments: list[list[np.ndarray]] = []
     cand_meta: list[list[tuple[np.ndarray, float]]] = []
     for j in range(cfg.n_subblocks):
-        if len(observations[j]) != cfg.n_slots:
-            raise ValueError(f"expected {cfg.n_slots} slots per sub-block")
         seen: set[bytes] = set()
         segments: list[np.ndarray] = []
         meta: list[tuple[np.ndarray, float]] = []
         pending: dict[int, list] = defaultdict(list)
         for i in range(cfg.n_slots):
-            obs = observations[j][i]
-            Y = np.array(obs if isinstance(obs, np.ndarray) else obs.Y, dtype=np.complex128)
+            Y = observations[j, i]
             for pair2, h2, delta2 in pending.get(i, ()):
-                Y -= slot_detector.reconstruct_signal(pair2, h2, delta2)
+                Y = Y - slot_detector.reconstruct_signal(pair2, h2, delta2)
             for det in slot_detector.detect_slot(Y, det_cfg):
                 payload, translate, is_secondary = unpack_bits(det.pair, layout)
                 if cfg.synchronous:

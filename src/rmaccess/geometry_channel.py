@@ -17,9 +17,11 @@ Slot observations live in the post-DFT frequency domain,
     Y[l, n] = sqrt(gamma) * sum_k h[k, l] X_k(n) e**(-i Delta_k n) + Z[l, n]
 
 with n = 1..N one-based, Delta_k = 2 pi delta_f tau_k the normalized delay
-and Z unit-variance circular Gaussian.  time_domain_reference rebuilds the
-same observation the long way (continuous-time waveform, sampling, prefix
-discard, DFT) and exists to pin the model down in tests.
+and Z unit-variance circular Gaussian.  synthesize_slot is the one kernel
+for the signal sum; frame_observations draws Z up front and calls it per
+slot group.  time_domain_reference rebuilds the noise-free observation the
+long way (continuous-time waveform, sampling, prefix discard, DFT) and
+exists to pin the model down in tests.
 
 The normalized delay is drawn uniform on [-pi, pi); the seconds-valued tau
 is derived from it and clamped to [0, tau_max], so the frequency-domain
@@ -30,18 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .access_pipeline import FrameConfig, draw_messages, segment_pair_bits
-from .rm_codec import Codeword, bits_to_pair_batch, rm_samples_batch
+from .rm_codec import bits_to_pair_batch, rm_samples_batch
 
 __all__ = [
     "GeometryConfig",
     "Population",
-    "SlotObservation",
     "expected_neighbors",
     "interference_power",
     "sample_frame",
@@ -138,23 +138,6 @@ class Population:
         return self.distance.shape[0]
 
 
-@dataclass(frozen=True)
-class SlotObservation:
-    """Post-DFT received matrix (antennas x subcarriers) of one slot."""
-
-    Y: np.ndarray
-    slot: int
-
-    def __post_init__(self) -> None:
-        Y = np.ascontiguousarray(np.asarray(self.Y, dtype=np.complex128))
-        if Y.ndim != 2:
-            raise ValueError("Y must be an antennas x subcarriers matrix")
-        if not np.isfinite(Y).all():
-            raise ValueError("observation contains non-finite entries")
-        Y.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
-
-
 def _gamma_ratio(cfg: GeometryConfig) -> float:
     """Gamma(2/alpha + r) / Gamma(r), stable for large r."""
     return float(np.exp(gammaln(2.0 / cfg.alpha + cfg.r) - gammaln(cfg.r)))
@@ -207,51 +190,25 @@ def classify_neighbors(pop: Population, cfg: GeometryConfig) -> np.ndarray:
     return pop.distance ** (-cfg.alpha) * pop.gains.sum(axis=1) >= cfg.r * cfg.theta
 
 
-def _tx_samples(codeword) -> np.ndarray:
-    samples = codeword.samples if isinstance(codeword, Codeword) else np.asarray(codeword)
-    if samples.ndim != 1:
-        raise ValueError("codeword samples must be a 1-D vector")
-    return samples.astype(np.complex128, copy=False)
+def _check_stack(X: np.ndarray, h: np.ndarray, delay: np.ndarray) -> None:
+    if (X.ndim, h.ndim, delay.ndim) != (2, 2, 1) or not len(X) == len(h) == len(delay):
+        raise ValueError(
+            f"expected X (k, n), h (k, r) and delays (k,) with one k, got {X.shape}, "
+            f"{h.shape} and {delay.shape}"
+        )
 
 
-def synthesize_slot(
-    transmissions: Sequence[tuple],
-    gamma: float,
-    noise_on: bool,
-    rng: np.random.Generator | None = None,
-    *,
-    r: int | None = None,
-    n: int | None = None,
-    slot: int = 0,
-) -> SlotObservation:
-    """Frequency-domain observation of one slot.
+def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: float) -> np.ndarray:
+    """Noise-free post-DFT observation of one slot, (r, n).
 
-    transmissions is a list of (codeword, h, delta) triples; h vectors must
-    share their length and codewords their order.  r and n override the
-    dimensions (required for an empty list).  Noise needs a generator.
+    X (k, n) holds the transmitted codeword samples, h (k, r) their channels
+    and delta (k,) their normalized delays; the result is
+    sqrt(gamma) * einsum("kl,kn->ln", h, X * e**(-i delta n)), n = 1..N.
     """
-    if transmissions:
-        first_h = np.asarray(transmissions[0][1])
-        r = first_h.size if r is None else r
-        n = _tx_samples(transmissions[0][0]).size if n is None else n
-    if r is None or n is None:
-        raise ValueError("empty slot synthesis needs explicit r and n")
-    Y = np.zeros((r, n), dtype=np.complex128)
-    n_idx = np.arange(1, n + 1)
-    amp = math.sqrt(gamma)
-    for codeword, h, delta in transmissions:
-        samples = _tx_samples(codeword)
-        h = np.asarray(h, dtype=np.complex128)
-        if h.shape != (r,):
-            raise ValueError(f"channel vector shape {h.shape} does not match r={r}")
-        if samples.size != n:
-            raise ValueError(f"codeword length {samples.size} does not match n={n}")
-        Y += amp * np.outer(h, samples * np.exp(-1j * float(delta) * n_idx))
-    if noise_on:
-        if rng is None:
-            raise ValueError("noise synthesis needs a generator")
-        Y += (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))) / math.sqrt(2.0)
-    return SlotObservation(Y=Y, slot=slot)
+    X, h, delta = np.asarray(X), np.asarray(h), np.asarray(delta)
+    _check_stack(X, h, delta)
+    X = X * np.exp(-1j * np.outer(delta, np.arange(1, X.shape[1] + 1)))
+    return math.sqrt(gamma) * np.einsum("kl,kn->ln", h, X)
 
 
 def frame_observations(
@@ -260,17 +217,17 @@ def frame_observations(
     cfg: GeometryConfig,
     rng: np.random.Generator | None = None,
     noise_on: bool = True,
-) -> list[list[SlotObservation]]:
-    """All slot observations of one frame, indexed [sub_block][slot].
+) -> np.ndarray:
+    """All slot observations of one frame, a read-only array of shape
+    (2**d, 2**p, r, 2**m) indexed [sub_block, slot].
 
     Every device contributes every copy of every sub-block segment to the
-    slot it lands in, with its block-static channel and delay.  Codewords
-    and delay ramps are generated one slot group at a time, so memory stays
-    bounded by the most crowded slot; noise for the whole grid is drawn up
-    front in one block so the result is reproducible independently of the
-    accumulation order.
+    slot it lands in, with its block-static channel and delay.  Each slot
+    group goes through synthesize_slot, so memory stays bounded by the most
+    crowded slot; noise for the whole grid is drawn up front in one block,
+    so the result does not depend on the accumulation order.
     """
-    r, n = cfg.r, frame.seq_len
+    r, n, gamma = cfg.r, frame.seq_len, cfg.gamma
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
     k = len(pop)
     if pop.h.shape[1] != r:
@@ -293,9 +250,7 @@ def frame_observations(
     else:
         Y = np.zeros((n_sub, n_slots, r, n), dtype=np.complex128)
     if k:
-        n_idx = np.arange(1, n + 1)
         flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
-        amp = math.sqrt(cfg.gamma)
         for c in range(frame.copies):
             Ps, bs = bits_to_pair_batch(segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1)))
             Ps = Ps.reshape(k, n_sub, frame.m, frame.m)
@@ -305,32 +260,31 @@ def frame_observations(
                 order = np.argsort(landed, kind="stable")
                 starts = np.flatnonzero(np.diff(landed[order])) + 1
                 for sel in np.split(order, starts):
-                    X = rm_samples_batch(Ps[sel, j], bs[sel, j])
-                    X = X * np.exp(-1j * np.outer(pop.delta[sel], n_idx))
-                    Y[j, landed[sel[0]]] += amp * np.einsum("kl,kn->ln", pop.h[sel], X)
-    return [
-        [SlotObservation(Y=Y[j, i], slot=int(i)) for i in range(n_slots)] for j in range(n_sub)
-    ]
+                    # codewords passed inline: the kernel frees them once ramped
+                    Y[j, landed[sel[0]]] += synthesize_slot(
+                        rm_samples_batch(Ps[sel, j], bs[sel, j]), pop.h[sel], pop.delta[sel], gamma
+                    )
+    Y.setflags(write=False)
+    return Y
 
 
 def time_domain_reference(
-    transmissions: Sequence[tuple],
+    X: np.ndarray,
+    h: np.ndarray,
+    tau: np.ndarray,
     delta_f: float,
     tau_max: float,
     gamma: float,
-    *,
-    r: int | None = None,
-    n: int | None = None,
-    slot: int = 0,
-) -> SlotObservation:
-    """Noise-free observation built through the time domain.
+) -> np.ndarray:
+    """Noise-free observation of one slot built through the time domain.
 
-    transmissions is a list of (codeword, h, tau) with tau in seconds.  The
-    continuous-time superposition sum_n X(n) e**(2 pi i n delta_f (t - tau))
-    is sampled at t_u = u / (N delta_f) for u = 1..N+M, the first
-    M = ceil(tau_max N delta_f) prefix samples are discarded, and the re-
-    tained block is projected onto the subcarriers with the absolute sample
-    index in the kernel,
+    X (k, n), h (k, r) and tau (k,) as in synthesize_slot, with tau in
+    seconds.  The continuous-time superposition
+    sum_n X(n) e**(2 pi i n delta_f (t - tau)) is sampled at
+    t_u = u / (N delta_f) for u = 1..N+M, the first M = ceil(tau_max N
+    delta_f) prefix samples are discarded, and the retained block is
+    projected onto the subcarriers with the absolute sample index in the
+    kernel,
 
         Y[n'] = (1/N) sum_{u=M+1}^{M+N} y(t_u) e**(-2 pi i n' u / N),
 
@@ -342,30 +296,18 @@ def time_domain_reference(
         raise ValueError("delta_f must be positive")
     if tau_max < 0:
         raise ValueError("tau_max must be nonnegative")
-    if transmissions:
-        first_h = np.asarray(transmissions[0][1])
-        r = first_h.size if r is None else r
-        n = _tx_samples(transmissions[0][0]).size if n is None else n
-    if r is None or n is None:
-        raise ValueError("empty slot synthesis needs explicit r and n")
+    X, h, tau = np.asarray(X), np.asarray(h), np.asarray(tau, dtype=np.float64)
+    _check_stack(X, h, tau)
+    if ((tau < 0) | (tau > tau_max)).any():
+        raise ValueError(f"delays {tau} leave the prefix window [0, {tau_max}]")
+    n = X.shape[1]
     m_cp = math.ceil(tau_max * n * delta_f)
     u = np.arange(1, n + m_cp + 1)
     t = u / (n * delta_f)
     n_idx = np.arange(1, n + 1)
-    y = np.zeros((r, n + m_cp), dtype=np.complex128)
-    amp = math.sqrt(gamma)
-    for codeword, h, tau in transmissions:
-        samples = _tx_samples(codeword)
-        h = np.asarray(h, dtype=np.complex128)
-        tau = float(tau)
-        if h.shape != (r,):
-            raise ValueError(f"channel vector shape {h.shape} does not match r={r}")
-        if samples.size != n:
-            raise ValueError(f"codeword length {samples.size} does not match n={n}")
-        if tau < 0 or tau > tau_max:
-            raise ValueError(f"delay {tau} outside the prefix window [0, {tau_max}]")
-        wave = samples @ np.exp(2j * math.pi * delta_f * np.outer(n_idx, t - tau))
-        y += amp * np.outer(h, wave)
-    retained = y[:, m_cp:]
+    # carriers[k, n, u] = e**(2 pi i n delta_f (t_u - tau_k))
+    carriers = np.exp(2j * math.pi * delta_f * n_idx[:, None] * (t - tau[:, None, None]))
+    waves = np.einsum("kn,knu->ku", X, carriers)
+    retained = math.sqrt(gamma) * np.einsum("kl,ku->lu", h, waves)[:, m_cp:]
     kernel = np.exp(-2j * math.pi * np.outer(n_idx, u[m_cp:]) / n) / n
-    return SlotObservation(Y=retained @ kernel.T, slot=slot)
+    return retained @ kernel.T

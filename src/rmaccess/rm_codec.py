@@ -25,11 +25,9 @@ import numpy as np
 
 __all__ = [
     "RmPair",
-    "Codeword",
     "BitLayout",
     "binary_index",
     "bits_to_int",
-    "generate_sequence",
     "rm_samples",
     "rm_samples_batch",
     "subsequence_factor",
@@ -128,35 +126,6 @@ class RmPair:
         return hash(self.key())
 
 
-@dataclass(frozen=True, eq=False)
-class Codeword:
-    """Unit-modulus sequence of length 2**m with entries in {1, -1, i, -i}."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.ascontiguousarray(np.asarray(self.samples, dtype=np.complex128))
-        n = samples.size
-        if samples.ndim != 1 or n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("samples must be a 1-D vector of power-of-two length >= 2")
-        if not np.allclose(np.abs(samples), 1.0, atol=1e-9):
-            raise ValueError("samples must have unit magnitude")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def m(self) -> int:
-        return int(self.samples.size).bit_length() - 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Codeword):
-            return NotImplemented
-        return np.array_equal(self.samples, other.samples)
-
-    def __hash__(self) -> int:
-        return hash(self.samples.tobytes())
-
-
 def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sample vector of the sequence identified by (P, b), as a raw array.
 
@@ -230,11 +199,6 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
         np.bitwise_and(odd, 3, out=nxt[:, 1::2])
         expo = nxt
     return _IOTA_POW[expo]
-
-
-def generate_sequence(pair: RmPair) -> Codeword:
-    """Codeword of the pair; length 2**m, entries in {1, -1, i, -i}."""
-    return Codeword(rm_samples(pair.P, pair.b))
 
 
 def walsh_factor(eta: np.ndarray, b_bit: int, beta_bit: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 Runs seeded sweeps over device count, antennas and code geometry, one frame
 per trial: sample a population, synthesize every slot, decode, score the
 output against the in-cell ground truth.  Results land in a line-delimited
-JSON file (one record per trial) next to an aggregate CSV table, both safe
-to re-run: already-computed (point, trial) records are kept and skipped.
+JSON file (one record per trial) next to an aggregate CSV table.  A rerun
+with the same output stem skips the (K, r, m, p, d, trial) records already
+in the JSONL, even if other spec fields changed; the JSONL is written only
+after the last trial, so an interrupted sweep keeps nothing.
 
 Per-trial seeds derive from (master seed, point, trial), so records do not
 depend on worker scheduling.  The RMACCESS_WORKERS environment variable (or
@@ -40,7 +42,7 @@ from .geometry_channel import (
     sample_frame,
     synthesize_slot,
 )
-from .rm_codec import BitLayout, generate_sequence, pack_bits
+from .rm_codec import BitLayout, pack_bits, rm_samples
 from .slot_detector import DetectorConfig, detect_slot
 
 __all__ = [
@@ -326,11 +328,11 @@ def _aggregate(records: list[dict]) -> list[str]:
 
 
 def run_sweep(spec: ExperimentSpec, workers: int | None = None) -> list[dict]:
-    """All (point, trial) records of a spec, with resume and aggregation.
+    """All (point, trial) records of a spec, with aggregation.
 
     Writes <out>.jsonl (one record per line, sorted by point and trial) and
-    <out>.csv, returns the full record list.  Existing records in the output
-    file are trusted and not recomputed.
+    <out>.csv after the last trial, returns the full record list.  Existing
+    records in the output file are trusted and not recomputed.
     """
     out_stem = Path(spec.out)
     if out_stem.parent != Path("."):
@@ -392,18 +394,18 @@ def scaling_bench(
     results = []
     for m in m_values:
         layout = BitLayout.asynchronous(int(m), 1)
-        transmissions = []
+        X, h, delta = [], [], []
         for scale in (2.0, 1.0):
             payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
             pair = pack_bits(payload, np.ones(1, np.uint8), False, layout)
-            h = scale * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=r))
-            delta = float(rng.uniform(-math.pi, math.pi))
-            transmissions.append((generate_sequence(pair), h, delta))
-        obs = synthesize_slot(transmissions, gamma=1.0, noise_on=False)
+            X.append(rm_samples(pair.P, pair.b))
+            h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=r)))
+            delta.append(rng.uniform(-math.pi, math.pi))
+        Y = synthesize_slot(np.stack(X), np.stack(h), np.array(delta), gamma=1.0)
         best = math.inf
         for _ in range(max(1, reps)):
             started = time.perf_counter()
-            detections = detect_slot(obs.Y, cfg)
+            detections = detect_slot(Y, cfg)
             best = min(best, time.perf_counter() - started)
         model = cfg.k_max * (2.0**m) * (m * m + 3 * m + r - 2)
         results.append(

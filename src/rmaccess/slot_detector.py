@@ -296,16 +296,16 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     return RmPair(P, b), h_hat, delta_hat, components
 
 
-def detect_slot(observation, cfg: DetectorConfig) -> list[Detection]:
-    """Detect-and-cancel loop over one slot observation.
+def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
+    """Detect-and-cancel loop over one slot observation Y (antennas x
+    subcarriers).
 
     Runs while the residual Frobenius norm exceeds cfg.eps and fewer than
     cfg.k_max iterations have been spent.  A detection whose cancellation
     does not shrink the residual is discarded and ends the loop.  Returns
     detections in the order found (strongest first on clean scenes); the
-    input is never mutated.
+    input is never mutated.  A non-finite observation raises.
     """
-    Y = observation if isinstance(observation, np.ndarray) else observation.Y
     Y = np.array(Y, dtype=np.complex128)
     if Y.ndim != 2:
         raise ValueError("expected an antennas x subcarriers observation")
@@ -316,6 +316,8 @@ def detect_slot(observation, cfg: DetectorConfig) -> list[Detection]:
     detections: list[Detection] = []
     k = 0
     residual = float(np.linalg.norm(Y))
+    if not math.isfinite(residual):
+        raise ValueError("observation contains non-finite entries")
     while residual > cfg.eps and k < cfg.k_max:
         k += 1
         est = _estimate_strongest(Y, m, cfg)

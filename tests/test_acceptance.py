@@ -27,7 +27,6 @@ from rmaccess.rm_codec import (
     RmPair,
     binary_index,
     bits_to_pair,
-    generate_sequence,
     pack_bits,
     pair_to_bits,
     rm_samples,
@@ -65,8 +64,9 @@ def test_criterion_1_geometry_closed_forms(criterion_report):
 
 
 def test_criterion_2_frequency_vs_time_domain(criterion_report):
-    """100 noise-free scenes: the direct frequency-domain synthesis matches
-    the waveform, prefix-discard, projection path to 1e-9 relative."""
+    """100 noise-free scenes: synthesize_slot, the kernel frame_observations
+    builds every slot with, matches the waveform, prefix-discard, projection
+    path to 1e-9 relative."""
     rng = np.random.default_rng(2024)
     delta_f, tau_max = 15e3, 10e-6
     worst = 0.0
@@ -74,17 +74,16 @@ def test_criterion_2_frequency_vs_time_domain(criterion_report):
         m = 5 if scene % 2 == 0 else 6
         r = (1, 2, 4)[scene % 3]
         gamma = (0.5, 1.0, 2.0, 4.0)[scene % 4]
-        tx_tau, tx_delta = [], []
+        X, h, tau = [], [], []
         for _ in range(int(rng.integers(1, 7))):
-            bits = rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8)
-            word = generate_sequence(bits_to_pair(bits))
-            h = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            tau = float(rng.uniform(0.0, tau_max))
-            tx_tau.append((word, h, tau))
-            tx_delta.append((word, h, 2.0 * math.pi * delta_f * tau))
-        ref = time_domain_reference(tx_tau, delta_f, tau_max, gamma)
-        fast = synthesize_slot(tx_delta, gamma, noise_on=False)
-        worst = max(worst, np.linalg.norm(ref.Y - fast.Y) / np.linalg.norm(fast.Y))
+            pair = bits_to_pair(rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8))
+            X.append(rm_samples(pair.P, pair.b))
+            h.append(rng.standard_normal(r) + 1j * rng.standard_normal(r))
+            tau.append(rng.uniform(0.0, tau_max))
+        X, h, tau = np.stack(X), np.stack(h), np.array(tau)
+        ref = time_domain_reference(X, h, tau, delta_f, tau_max, gamma)
+        fast = synthesize_slot(X, h, 2.0 * math.pi * delta_f * tau, gamma)
+        worst = max(worst, np.linalg.norm(ref - fast) / np.linalg.norm(fast))
     # the discarded prefix is ceil(0.15 * 2^m) samples at these parameters
     prefix_ok = FrameConfig(m=5, p=2).prefix_len == 5 and FrameConfig(m=6, p=2).prefix_len == 10
     ok = worst <= 1e-9 and prefix_ok
@@ -177,8 +176,8 @@ def test_criterion_4_noiseless_round_trip(criterion_report):
             payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
             pair = pack_bits(payload, np.ones(1, np.uint8), False, layout)
             h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            obs = synthesize_slot([(generate_sequence(pair), h, delta)], gamma, noise_on=False)
-            det = detect_slot(obs.Y, cfg)[0]
+            Y = synthesize_slot(rm_samples(pair.P, pair.b)[None], h[None], [delta], gamma)
+            det = detect_slot(Y, cfg)[0]
             bits_ok &= det.pair == pair
             worst_delta = max(worst_delta, abs(float(wrap(det.delta_hat - delta))))
             scaled = math.sqrt(gamma) * h

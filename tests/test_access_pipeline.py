@@ -25,9 +25,9 @@ from rmaccess.rm_codec import (
     RmPair,
     bits_to_int,
     bits_to_pair,
-    generate_sequence,
     pack_bits,
     pair_to_bits,
+    rm_samples,
     unpack_bits,
 )
 from rmaccess.slot_detector import DetectorConfig
@@ -279,6 +279,11 @@ def test_decode_frame_cross_slot_cancellation():
     assert got == {msg_a[0].tobytes(), msg_b[0].tobytes()}
 
 
+def _one_device_slot(pair, h, delta):
+    X = rm_samples(pair.P, pair.b)[None]
+    return synthesize_slot(X, np.asarray(h)[None], np.array([delta]), gamma=1.0)
+
+
 def test_decode_frame_secondary_copy_alone_recovers():
     # only the check-flipped copy is on the air; the decoder walks the
     # translate back to the primary slot index
@@ -286,11 +291,8 @@ def test_decode_frame_secondary_copy_alone_recovers():
     info, segs, slots = draw_messages(frame, np.random.default_rng(1), 1)
     seg = segs[0, 0]
     s_sec = int(slots[0, 0, 1])
-    pair_sec = segment_pair(seg, frame, True)
-    grid = [[synthesize_slot([], 1.0, False, r=2, n=16, slot=i) for i in range(4)]]
-    grid[0][s_sec] = synthesize_slot(
-        [(generate_sequence(pair_sec), np.array([1.5, -0.7j]), 0.25)], 1.0, False, slot=s_sec
-    )
+    grid = np.zeros((1, 4, 2, 16), dtype=complex)
+    grid[0, s_sec] = _one_device_slot(segment_pair(seg, frame, True), [1.5, -0.7j], 0.25)
     out = decode_frame(grid, DetectorConfig(k_max=2, eps=1e-9), frame)
     assert len(out.messages) == 1
     np.testing.assert_array_equal(out.messages[0], info[0])
@@ -305,13 +307,9 @@ def test_decode_frame_dedups_straggling_copy():
     seg = segs[0, 0]
     s_pri, s_sec = int(slots[0, 0, 0]), int(slots[0, 0, 1])
     h = np.array([1.0 + 0.2j, -0.5j])
-    grid = [[synthesize_slot([], 1.0, False, r=2, n=16, slot=i) for i in range(4)]]
-    grid[0][s_sec] = synthesize_slot(
-        [(generate_sequence(segment_pair(seg, frame, True)), h, 0.3)], 1.0, False, slot=s_sec
-    )
-    grid[0][s_pri] = synthesize_slot(
-        [(generate_sequence(segment_pair(seg, frame, False)), 2.0 * h, 0.3)], 1.0, False, slot=s_pri
-    )
+    grid = np.zeros((1, 4, 2, 16), dtype=complex)
+    grid[0, s_sec] = _one_device_slot(segment_pair(seg, frame, True), h, 0.3)
+    grid[0, s_pri] = _one_device_slot(segment_pair(seg, frame, False), 2.0 * h, 0.3)
     out = decode_frame(grid, DetectorConfig(k_max=3, eps=1e-9), frame)
     assert out.candidate_counts == [1]
     assert len(out.messages) == 1
@@ -351,10 +349,18 @@ def test_decode_frame_synchronous():
 def test_decode_frame_shape_validation():
     frame = FrameConfig(m=4, p=2, d=1)
     cfg = DetectorConfig(k_max=1, eps=1.0)
+    decode_frame(np.zeros((2, 4, 3, 16)), cfg, frame)  # any antenna count
+    for shape in [
+        (1, 4, 2, 16),  # one sub-block missing
+        (2, 3, 2, 16),  # slot short
+        (2, 4, 2, 32),  # slots of another sequence order
+        (2, 4, 16),  # no antenna axis
+        (2, 4, 2, 16, 1),
+    ]:
+        with pytest.raises(ValueError, match=r"\(2, 4, r, 16\)"):
+            decode_frame(np.zeros(shape), cfg, frame)
     with pytest.raises(ValueError):
-        decode_frame([[np.zeros((2, 16))] * 4], cfg, frame)  # one sub-block missing
-    with pytest.raises(ValueError):
-        decode_frame([[np.zeros((2, 16))] * 3] * 2, cfg, frame)  # slot short
+        decode_frame([[np.zeros((2, 16))] * 3 + [np.zeros((2, 8))]] * 2, cfg, frame)  # ragged
 
 
 def test_error_metrics_conventions():

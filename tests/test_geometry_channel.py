@@ -25,8 +25,8 @@ from rmaccess.geometry_channel import (
 from rmaccess.rm_codec import (
     bits_to_pair,
     bits_to_pair_batch,
-    generate_sequence,
     pack_bits,
+    rm_samples,
     rm_samples_batch,
 )
 from rmaccess.access_pipeline import segment_pair_bits
@@ -223,45 +223,50 @@ def test_frame_observations_rejects_mismatched_plan():
         frame_observations(pop, frame, dataclasses.replace(geo, r=3), noise_on=False)
 
 
+def _random_codewords(rng, m, k):
+    """k random sequences of order m as a (k, 2**m) stack."""
+    bits = rng.integers(0, 2, size=(k, m * (m + 3) // 2), dtype=np.uint8)
+    return np.stack([rm_samples(pair.P, pair.b) for pair in map(bits_to_pair, bits)])
+
+
 def test_synthesize_slot_matches_pointwise_formula():
     rng = np.random.default_rng(40)
-    frame = FrameConfig(m=3, p=1)
-    tx = []
-    for _ in range(3):
-        bits = rng.integers(0, 2, size=9, dtype=np.uint8)
-        word = generate_sequence(bits_to_pair(bits))
-        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        delta = float(rng.uniform(-math.pi, math.pi))
-        tx.append((word, h, delta))
+    X = _random_codewords(rng, 3, 3)
+    h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    delta = rng.uniform(-math.pi, math.pi, size=3)
     gamma = 2.5
-    obs = synthesize_slot(tx, gamma, noise_on=False)
-    n = frame.seq_len
+    Y = synthesize_slot(X, h, delta, gamma)
+    assert Y.shape == (2, 8)
     for l in range(2):
-        for nn in range(n):
+        for nn in range(8):
             expect = sum(
-                math.sqrt(gamma) * h[l] * w.samples[nn] * np.exp(-1j * d * (nn + 1))
-                for w, h, d in tx
+                math.sqrt(gamma) * h[k, l] * X[k, nn] * np.exp(-1j * delta[k] * (nn + 1))
+                for k in range(3)
             )
-            assert abs(obs.Y[l, nn] - expect) < 1e-12
+            assert abs(Y[l, nn] - expect) < 1e-12
 
 
-def test_synthesize_slot_empty_and_noise():
-    empty = synthesize_slot([], gamma=1.0, noise_on=False, r=3, n=16)
-    assert empty.Y.shape == (3, 16) and not empty.Y.any()
-    with pytest.raises(ValueError):
-        synthesize_slot([], gamma=1.0, noise_on=False)  # dimensions unknown
-    with pytest.raises(ValueError):
-        synthesize_slot([], gamma=1.0, noise_on=True, r=3, n=16)  # needs a generator
-    a = synthesize_slot([], 1.0, True, np.random.default_rng(41), r=2, n=512)
-    b = synthesize_slot([], 1.0, True, np.random.default_rng(41), r=2, n=512)
-    np.testing.assert_array_equal(a.Y, b.Y)
-    assert np.mean(np.abs(a.Y) ** 2) == pytest.approx(1.0, rel=0.1)
+def test_synthesize_slot_empty_and_mismatched_k():
+    empty = synthesize_slot(np.zeros((0, 16)), np.zeros((0, 3)), np.zeros(0), gamma=1.0)
+    assert empty.shape == (3, 16) and not empty.any()
+    X = _random_codewords(np.random.default_rng(41), 4, 2)
+    h, delta = np.ones((2, 3)), np.zeros(2)
+    assert synthesize_slot(X, h, delta, 1.0).shape == (3, 16)
+    for bad in [(X[:1], h, delta), (X, h[:1], delta), (X, h, delta[:1]), (X[0], h, delta)]:
+        with pytest.raises(ValueError, match="expected X"):
+            synthesize_slot(*bad, gamma=1.0)
 
 
-def test_slot_observation_is_read_only():
-    obs = synthesize_slot([], gamma=1.0, noise_on=False, r=2, n=8)
-    with pytest.raises(ValueError):
-        obs.Y[0, 0] = 1.0
+def test_frame_observations_returns_read_only_array():
+    frame = FrameConfig(m=4, p=2, d=1)
+    geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=3)
+    pop = _random_population(frame, np.random.default_rng(41), 4, geo.r)
+    for rng in (None, np.random.default_rng(7)):
+        Y = frame_observations(pop, frame, geo, rng, noise_on=rng is not None)
+        assert isinstance(Y, np.ndarray) and Y.dtype == np.complex128
+        assert Y.shape == (frame.n_subblocks, frame.n_slots, geo.r, frame.seq_len)
+        with pytest.raises(ValueError):
+            Y[0, 0, 0, 0] = 1.0
 
 
 def test_frame_observations_matches_manual_superposition():
@@ -280,13 +285,10 @@ def test_frame_observations_matches_manual_superposition():
             seg = pop.segments[k, j]
             for c in range(frame.copies):
                 pair = pack_bits(seg[2 * p :], seg[p : 2 * p], c == 1, frame.layout)
-                X = generate_sequence(pair).samples
+                X = rm_samples(pair.P, pair.b)
                 slot = int(pop.slots[k, j, c])
                 expected[j, slot] += math.sqrt(geo.gamma) * np.outer(pop.h[k], X * ramp)
-    for j in range(frame.n_subblocks):
-        for i in range(frame.n_slots):
-            assert got[j][i].slot == i
-            np.testing.assert_allclose(got[j][i].Y, expected[j, i], atol=1e-10)
+    np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 def test_frame_observations_noise_is_additive_and_seeded():
@@ -298,11 +300,7 @@ def test_frame_observations_noise_is_additive_and_seeded():
     total = frame_observations(pop, frame, geo, np.random.default_rng(7), noise_on=True)
     noise = frame_observations(empty, frame, geo, np.random.default_rng(7), noise_on=True)
     signal = frame_observations(pop, frame, geo, noise_on=False)
-    for j in range(frame.n_subblocks):
-        for i in range(frame.n_slots):
-            np.testing.assert_allclose(
-                total[j][i].Y, noise[j][i].Y + signal[j][i].Y, rtol=1e-12, atol=1e-12
-            )
+    np.testing.assert_allclose(total, noise + signal, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         frame_observations(pop, frame, geo, noise_on=True)  # no generator
 
@@ -334,10 +332,7 @@ def mask_loop_observations(pop, frame, cfg, rng):
 def _assert_matches_mask_loop(pop, frame, geo, seed=5):
     got = frame_observations(pop, frame, geo, np.random.default_rng(seed))
     expected = mask_loop_observations(pop, frame, geo, np.random.default_rng(seed))
-    for j in range(frame.n_subblocks):
-        for i in range(frame.n_slots):
-            assert got[j][i].slot == i
-            np.testing.assert_array_equal(got[j][i].Y, expected[j, i])
+    np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize(
@@ -374,32 +369,21 @@ def test_time_domain_reference_equivalence():
     rng = np.random.default_rng(44)
     for m in (5, 6):
         for _ in range(3):
-            n = 1 << m
-            tx = []
-            for _ in range(int(rng.integers(1, 5))):
-                bits = rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8)
-                word = generate_sequence(bits_to_pair(bits))
-                h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                tau = float(rng.uniform(0.0, 10e-6))
-                tx.append((word, h, tau))
-            ref = time_domain_reference(tx, delta_f=15e3, tau_max=10e-6, gamma=2.0)
-            fast = synthesize_slot(
-                [(w, h, 2.0 * math.pi * 15e3 * tau) for w, h, tau in tx],
-                gamma=2.0,
-                noise_on=False,
-            )
-            err = np.linalg.norm(ref.Y - fast.Y) / np.linalg.norm(fast.Y)
+            k = int(rng.integers(1, 5))
+            X = _random_codewords(rng, m, k)
+            h = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+            tau = rng.uniform(0.0, 10e-6, size=k)
+            ref = time_domain_reference(X, h, tau, delta_f=15e3, tau_max=10e-6, gamma=2.0)
+            fast = synthesize_slot(X, h, 2.0 * math.pi * 15e3 * tau, gamma=2.0)
+            err = np.linalg.norm(ref - fast) / np.linalg.norm(fast)
             assert err <= 1e-9
 
 
 def test_time_domain_reference_rejects_out_of_window_delay():
-    rng = np.random.default_rng(45)
-    bits = rng.integers(0, 2, size=20, dtype=np.uint8)
-    word = generate_sequence(bits_to_pair(bits))
-    with pytest.raises(ValueError):
-        time_domain_reference([(word, np.ones(1), 11e-6)], 15e3, 10e-6, 1.0)
-    with pytest.raises(ValueError):
-        time_domain_reference([(word, np.ones(1), -1e-9)], 15e3, 10e-6, 1.0)
+    X = _random_codewords(np.random.default_rng(45), 5, 1)
+    for tau in (11e-6, -1e-9):
+        with pytest.raises(ValueError, match="prefix window"):
+            time_domain_reference(X, np.ones((1, 1)), [tau], 15e3, 10e-6, 1.0)
 
 
 def test_prefix_length_values():

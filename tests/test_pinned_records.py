@@ -59,7 +59,7 @@ def test_frame_observations_are_pinned(frame, digest):
     pop = sample_frame(GEO, frame, rng)
     assert len(pop) == 181
     obs = frame_observations(pop, frame, GEO, rng)
-    Y = np.stack([np.stack([o.Y for o in row]) for row in obs])
+    Y = obs
     assert Y.shape == (frame.n_subblocks, frame.n_slots, GEO.r, frame.seq_len)
     assert _sha(Y) == digest
 

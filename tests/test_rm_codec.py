@@ -10,13 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from rmaccess.rm_codec import (
     BitLayout,
-    Codeword,
     RmPair,
     binary_index,
     bits_to_int,
     bits_to_pair,
     bits_to_pair_batch,
-    generate_sequence,
     pack_bits,
     pair_to_bits,
     rm_samples,
@@ -104,10 +102,9 @@ def test_samples_match_reference():
 def test_samples_alphabet_and_codeword():
     rng = np.random.default_rng(2)
     pair = random_pair(rng, 5)
-    word = generate_sequence(pair)
-    assert isinstance(word, Codeword)
-    assert word.m == 5
-    assert set(word.samples.tolist()) <= {1, -1, 1j, -1j}
+    word = rm_samples(pair.P, pair.b)
+    assert word.shape == (32,) and word.dtype == np.complex128
+    assert set(word.tolist()) <= {1, -1, 1j, -1j}
 
 
 def test_rm_samples_batch_matches_single():
@@ -288,10 +285,6 @@ def test_pair_validation():
         RmPair(np.array([[2]]), np.array([0]))  # non-binary
     with pytest.raises(ValueError):
         RmPair(np.zeros((2, 2), np.uint8), np.zeros(3, np.uint8))  # shape clash
-    with pytest.raises(ValueError):
-        Codeword(np.array([1.0, 0.5]))  # not unit modulus
-    with pytest.raises(ValueError):
-        Codeword(np.ones(3))  # not a power of two
 
 
 def test_async_layout_partitions_all_positions():

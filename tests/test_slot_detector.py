@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rmaccess.geometry_channel import synthesize_slot
-from rmaccess.rm_codec import BitLayout, generate_sequence, pack_bits, walsh_factor
+from rmaccess.rm_codec import BitLayout, pack_bits, rm_samples, walsh_factor
 from rmaccess.slot_detector import (
     DetectorConfig,
     correlate_layer,
@@ -23,6 +23,13 @@ from rmaccess.slot_detector import (
 
 def wrap(x):
     return (x + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def slot_of(pairs, h, delta, gamma=1.0):
+    """Noise-free slot carrying the given pairs over channels h (k, r) with
+    delays (k,)."""
+    X = np.stack([rm_samples(pair.P, pair.b) for pair in pairs])
+    return synthesize_slot(X, np.asarray(h), np.asarray(delta, dtype=float), gamma)
 
 
 def transmit_pair(rng, m, p=1):
@@ -157,13 +164,13 @@ def test_reconstruct_and_cancel():
     pair = transmit_pair(rng, 5)
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     delta = -0.8
-    obs = synthesize_slot([(generate_sequence(pair), h, delta)], gamma=1.0, noise_on=False)
+    Y = slot_of([pair], [h], [delta])
     rebuilt = reconstruct_signal(pair, h, delta)
-    np.testing.assert_allclose(rebuilt, obs.Y, atol=1e-12)
+    np.testing.assert_allclose(rebuilt, Y, atol=1e-12)
 
     # cancelling the detector's own estimate leaves nothing behind
-    det = detect_slot(obs.Y, DetectorConfig(k_max=1, eps=1e-9))[0]
-    residual = obs.Y - reconstruct_signal(det.pair, det.h_hat, det.delta_hat)
+    det = detect_slot(Y, DetectorConfig(k_max=1, eps=1e-9))[0]
+    residual = Y - reconstruct_signal(det.pair, det.h_hat, det.delta_hat)
     assert np.linalg.norm(residual) < 1e-9
 
 
@@ -173,8 +180,8 @@ def test_single_device_noiseless_round_trip():
         pair = transmit_pair(rng, m)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         delta = float(rng.uniform(-math.pi, math.pi))
-        obs = synthesize_slot([(generate_sequence(pair), h, delta)], gamma=2.0, noise_on=False)
-        dets = detect_slot(obs.Y, DetectorConfig(k_max=3, eps=1e-9))
+        Y = slot_of([pair], [h], [delta], gamma=2.0)
+        dets = detect_slot(Y, DetectorConfig(k_max=3, eps=1e-9))
         assert len(dets) == 1
         det = dets[0]
         assert det.pair == pair
@@ -190,15 +197,12 @@ def test_two_devices_noiseless():
     shrinks the residual."""
     rng = np.random.default_rng(54)
     layout = BitLayout.asynchronous(6, 2)
-    tx, pairs = [], []
-    for scale, delta in ((3.0, 0.3), (1.0, -1.1)):
+    pairs, hs = [], []
+    for scale in (3.0, 1.0):
         payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-        pair = pack_bits(payload, np.array([1, 0], np.uint8), False, layout)
-        h = scale * np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
-        tx.append((generate_sequence(pair), h, delta))
-        pairs.append(pair)
-    obs = synthesize_slot(tx, gamma=1.0, noise_on=False)
-    dets = detect_slot(obs.Y, DetectorConfig(k_max=6, eps=1e-6))
+        pairs.append(pack_bits(payload, np.array([1, 0], np.uint8), False, layout))
+        hs.append(scale * np.exp(1j * rng.uniform(0, 2 * math.pi, 16)))
+    dets = detect_slot(slot_of(pairs, hs, [0.3, -1.1]), DetectorConfig(k_max=6, eps=1e-6))
     found = [d.pair for d in dets]
     assert pairs[0] in found and pairs[1] in found
     assert dets[0].pair == pairs[0]  # strongest first
@@ -215,9 +219,8 @@ def test_synchronous_mode_decodes_top_layer_as_data():
     payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
     pair = pack_bits(payload, np.zeros(0, np.uint8), False, layout)
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    obs = synthesize_slot([(generate_sequence(pair), h, 0.0)], gamma=1.0, noise_on=False)
     cfg = DetectorConfig(k_max=2, eps=1e-9, estimate_delay=False)
-    det = detect_slot(obs.Y, cfg)[0]
+    det = detect_slot(slot_of([pair], [h], [0.0]), cfg)[0]
     assert det.pair == pair
     assert det.delta_hat == 0.0
     assert not det.delta_components.any()
@@ -255,11 +258,20 @@ def test_detect_slot_validates_shape():
         detect_slot(np.zeros(16), DetectorConfig(k_max=1, eps=0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_detect_slot_rejects_non_finite_observation(bad):
+    Y = np.zeros((2, 16), dtype=complex)
+    Y[1, 5] = bad
+    for eps in (1e-9, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            detect_slot(Y, DetectorConfig(k_max=2, eps=eps))
+
+
 def test_detect_slot_does_not_mutate_input():
     rng = np.random.default_rng(57)
     pair = transmit_pair(rng, 4)
     h = np.array([1.0, 0.5j])
-    obs = synthesize_slot([(generate_sequence(pair), h, 0.1)], gamma=1.0, noise_on=False)
-    before = obs.Y.copy()
-    detect_slot(obs.Y, DetectorConfig(k_max=2, eps=1e-9))
-    np.testing.assert_array_equal(obs.Y, before)
+    Y = slot_of([pair], [h], [0.1])
+    before = Y.copy()
+    detect_slot(Y, DetectorConfig(k_max=2, eps=1e-9))
+    np.testing.assert_array_equal(Y, before)
