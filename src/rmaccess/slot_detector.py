@@ -251,7 +251,7 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     candidates = np.arange(grid.size)
     if np.all(np.abs(components) <= np.pi):
         delta = first
-        for l, comp in enumerate(components[1:], start=1):
+        for l, comp in enumerate(components[1:].tolist(), start=1):
             delta = (comp + 2.0 * np.pi * round((2.0**l * delta - comp) / (2.0 * np.pi))) / 2.0**l
         j0 = min(max(steps + round((first - delta) / cfg.refine_resolution), 0), grid.size - 1)
         last = _wrap(components[-1] - _wrap(2.0 ** (components.size - 1) * grid)) ** 2
