@@ -249,15 +249,16 @@ def wht(x: np.ndarray) -> np.ndarray:
     n = arr.size
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    # Constant geometry: adjacent sums to the first half, differences to the
-    # second; each output is the same chain of additions as radix-2 in place.
-    src = arr.astype(np.complex128, copy=True)
-    dst = np.empty_like(src)
-    for _ in range(n.bit_length() - 1):
-        np.add(src[0::2], src[1::2], out=dst[: n // 2])
-        np.subtract(src[0::2], src[1::2], out=dst[n // 2 :])
-        src, dst = dst, src
-    return src
+    out = arr.astype(np.complex128, copy=True)
+    h = 1
+    while h < n:
+        blocks = out.reshape(-1, 2 * h)
+        even = blocks[:, :h].copy()
+        odd = blocks[:, h:].copy()
+        blocks[:, :h] = even + odd
+        blocks[:, h:] = even - odd
+        h *= 2
+    return out
 
 
 @lru_cache(maxsize=None)

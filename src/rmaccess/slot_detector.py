@@ -17,7 +17,6 @@ is dropped and the loop stops).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -224,12 +223,6 @@ def estimate_final(
     return b1, beta1, comp_m, h_hat
 
 
-def _delay_residuals(components: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Wrap-aware squared residuals of the candidate delays g, summed in component order."""
-    predicted = _wrap(2.0 ** np.arange(components.size)[:, None] * g[None, :])
-    return functools.reduce(np.add, _wrap(components[:, None] - predicted) ** 2)
-
-
 def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     """Reconcile the m wrapped delay components into one estimate.
 
@@ -238,9 +231,6 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     corrections e in [-window, window] at the configured resolution,
     predicts every component from delta_1 - e, and keeps the e minimizing
     the wrap-aware squared residual.  Returns delta_1 - e*, in [-pi, pi).
-    A residual is at least its last (finest-scale) term, so a candidate whose
-    last term exceeds the residual at the delay unwrapped one doubling at a
-    time cannot win; such candidates are skipped without changing the result.
     """
     components = np.asarray(components, dtype=np.float64)
     if components.ndim != 1 or components.size < 2:
@@ -248,16 +238,10 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     first = components[0]
     steps = int(round(cfg.refine_window / cfg.refine_resolution))
     grid = first - np.arange(-steps, steps + 1) * cfg.refine_resolution
-    candidates = np.arange(grid.size)
-    if np.all(np.abs(components) <= np.pi):
-        delta = first
-        for l, comp in enumerate(components[1:].tolist(), start=1):
-            delta = (comp + 2.0 * np.pi * round((2.0**l * delta - comp) / (2.0 * np.pi))) / 2.0**l
-        j0 = min(max(steps + round((first - delta) / cfg.refine_resolution), 0), grid.size - 1)
-        last = _wrap(components[-1] - _wrap(2.0 ** (components.size - 1) * grid)) ** 2
-        candidates = np.flatnonzero(last <= _delay_residuals(components, grid[j0 : j0 + 1])[0])
-    residual = _delay_residuals(components, grid[candidates])
-    return float(_wrap(grid[candidates[int(np.argmin(residual))]]))
+    scale = 2.0 ** np.arange(components.size)
+    predicted = _wrap(scale[:, None] * grid[None, :])
+    residual = np.sum(_wrap(components[:, None] - predicted) ** 2, axis=0)
+    return float(_wrap(grid[int(np.argmin(residual))]))
 
 
 def reconstruct_signal(pair: RmPair, h_hat: np.ndarray, delta_hat: float) -> np.ndarray:

