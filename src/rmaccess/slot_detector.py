@@ -17,6 +17,7 @@ is dropped and the loop stops).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 
+_INV_2PI = 1.0 / (2.0 * np.pi)
+
+
 def _wrap(x):
     """Wrap angle(s) to [-pi, pi)."""
     return (x + np.pi) % (2.0 * np.pi) - np.pi
@@ -48,11 +52,12 @@ class DetectorConfig:
     """Stopping rule and delay-search knobs for detect_slot.
 
     k_max caps the SIC iterations per slot, eps is the residual Frobenius
-    norm under which the slot is declared empty.  refine_window /
-    refine_resolution bound the scalar grid search that reconciles the m
-    wrapped delay components.  estimate_delay=False selects the synchronous
-    variant: no timing phases anywhere and the top layer's polarity is
-    decoded as data instead of being forced to zero.
+    norm under which the slot is declared empty (inf: always empty; NaN is
+    rejected).  refine_window / refine_resolution, both finite, bound the
+    scalar grid search that reconciles the m wrapped delay components.
+    estimate_delay=False selects the synchronous variant: no timing phases
+    anywhere and the top layer's polarity is decoded as data instead of
+    being forced to zero.
     """
 
     k_max: int
@@ -64,10 +69,12 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.refine_resolution <= 0:
-            raise ValueError("refine_resolution must be positive")
-        if self.refine_window < 0:
-            raise ValueError("refine_window must be nonnegative")
+        if math.isnan(self.eps):
+            raise ValueError("eps must not be NaN")
+        if not (math.isfinite(self.refine_resolution) and self.refine_resolution > 0):
+            raise ValueError("refine_resolution must be finite and positive")
+        if not (math.isfinite(self.refine_window) and self.refine_window >= 0):
+            raise ValueError("refine_window must be finite and nonnegative")
 
     @classmethod
     def from_operating_point(
@@ -223,24 +230,69 @@ def estimate_final(
     return b1, beta1, comp_m, h_hat
 
 
+@functools.lru_cache(maxsize=16)
+def _delay_grid(window: float, resolution: float, m: int):
+    """Search offsets k*resolution for |k| <= round(window/resolution), the
+    component scales 2^l, and each scaled offset in turns, 2^l k res / 2pi
+    (m x grid).  Cached per search shape; all read-only."""
+    steps = int(round(window / resolution))
+    offsets = np.arange(-steps, steps + 1) * resolution
+    scale = 2.0 ** np.arange(m)
+    turns = scale[:, None] * offsets[None, :] * _INV_2PI
+    for a in (offsets, scale, turns):
+        a.setflags(write=False)
+    return offsets, scale, turns
+
+
 def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     """Reconcile the m wrapped delay components into one estimate.
 
     Component l (1-based) measures Arg(e^{i 2^(l-1) delta}).  The first
     component alone fixes delta but with the largest noise; the search scans
     corrections e in [-window, window] at the configured resolution,
-    predicts every component from delta_1 - e, and keeps the e minimizing
-    the wrap-aware squared residual.  Returns delta_1 - e*, in [-pi, pi).
+    predicts every component from g = delta_1 - e, and keeps the first g (in
+    grid order) minimizing the wrap-aware squared residual
+    sum_l wrap(c_l - wrap(2^(l-1) g))^2.  Returns wrap(g*), in [-pi, pi).
+
+    The scan is exact but cheap.  A screen scores every grid point in
+    turns, (c_l - 2^(l-1) g) / 2pi less its nearest integer, with no float
+    remainder.  Its rounding error is bounded (see the comment below), so
+    only grid points scoring within twice that bound of the smallest score
+    can be the minimizer.  Those few get the residual above exactly as a
+    full-grid scan computes it, summed row by row as np.sum(axis=0) sums an
+    (m, grid) array, so the estimate is bit-identical to the full scan.
+    Components must be finite and in [-pi, pi], as detect_slot produces
+    them; anything else raises ValueError.
     """
     components = np.asarray(components, dtype=np.float64)
     if components.ndim != 1 or components.size < 2:
         raise ValueError("need at least two delay components")
+    if not np.all(np.abs(components) <= np.pi):
+        raise ValueError("delay components must be finite and in [-pi, pi]")
+    m = components.size
     first = components[0]
-    steps = int(round(cfg.refine_window / cfg.refine_resolution))
-    grid = first - np.arange(-steps, steps + 1) * cfg.refine_resolution
-    scale = 2.0 ** np.arange(components.size)
+    offsets, scale, turns = _delay_grid(cfg.refine_window, cfg.refine_resolution, m)
+    y = turns + ((components - scale * first) * _INV_2PI)[:, None]
+    y -= np.rint(y)
+    screen = np.einsum("lj,lj->j", y, y)
+    # Screen error.  Let eps = 2^-52, w = offsets[-1] the grid's half-span
+    # and X = 2^(m-1) (|first| + w) + 3pi, which bounds |c_l| + |2^(l-1) g|
+    # and is at least 3pi.  Against the true circular distance of
+    # c_l - 2^(l-1) g, the screen's turn carries at most 2.5 eps X / 2pi of
+    # rounding (grid point, cached offset, row shift and the add; y - rint(y)
+    # is exact), and the exact path's wrapped difference at most 2.5 eps X
+    # (its first wrap rounds 2^(l-1) g + pi, below X, and its six later
+    # steps stay within 3pi).  So each squared term differs from its exact
+    # twin / 4pi^2 by at most eps X turns^2, squares' own rounding included,
+    # and each m-term sum rounds by at most eps m^2 / 8:
+    # |screen - exact / 4pi^2| <= B = eps m (X + m/4) at every grid point.
+    # The exact minimizer thus scores at most 2B above the screen's minimum,
+    # and a margin of 2 eps m (X + m/2) also covers rounding the threshold.
+    X = scale[-1] * (abs(first) + offsets[-1]) + 3.0 * np.pi
+    keep = np.flatnonzero(screen <= screen.min() + 2.0**-51 * m * (X + m / 2))
+    grid = first - offsets[keep]
     predicted = _wrap(scale[:, None] * grid[None, :])
-    residual = np.sum(_wrap(components[:, None] - predicted) ** 2, axis=0)
+    residual = np.cumsum(_wrap(components[:, None] - predicted) ** 2, axis=0)[-1]
     return float(_wrap(grid[int(np.argmin(residual))]))
 
 
@@ -296,6 +348,13 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     return RmPair(P, b), h_hat, delta_hat, components
 
 
+def _norm(Y: np.ndarray) -> float:
+    """Frobenius norm of a C-contiguous complex array through numpy's own
+    sum: np.linalg.norm takes a BLAS dot for complex input, whose last bits
+    follow the BLAS thread count."""
+    return math.sqrt(np.sum(np.square(Y.view(np.float64))))
+
+
 def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     """Detect-and-cancel loop over one slot observation Y (antennas x
     subcarriers).
@@ -306,7 +365,7 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     detections in the order found (strongest first on clean scenes); the
     input is never mutated.  A non-finite observation raises.
     """
-    Y = np.array(Y, dtype=np.complex128)
+    Y = np.array(Y, dtype=np.complex128, order="C")
     if Y.ndim != 2:
         raise ValueError("expected an antennas x subcarriers observation")
     n = Y.shape[1]
@@ -315,7 +374,7 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     m = n.bit_length() - 1
     detections: list[Detection] = []
     k = 0
-    residual = float(np.linalg.norm(Y))
+    residual = _norm(Y)
     if not math.isfinite(residual):
         raise ValueError("observation contains non-finite entries")
     while residual > cfg.eps and k < cfg.k_max:
@@ -325,7 +384,7 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
             break
         pair, h_hat, delta_hat, components = est
         Y_next = Y - reconstruct_signal(pair, h_hat, delta_hat)
-        residual_next = float(np.linalg.norm(Y_next))
+        residual_next = _norm(Y_next)
         if residual_next >= residual:
             break  # cancellation stopped helping; drop this detection
         detections.append(

@@ -2,10 +2,17 @@
 noiseless round trips through the full detect-and-cancel loop."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rmaccess import slot_detector
 from rmaccess.geometry_channel import synthesize_slot
 from rmaccess.rm_codec import BitLayout, pack_bits, rm_samples, walsh_factor
 from rmaccess.slot_detector import (
@@ -47,6 +54,25 @@ def test_detector_config_validation():
         DetectorConfig(k_max=1, eps=1.0, refine_resolution=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(k_max=1, eps=1.0, refine_window=-0.1)
+    # an infinite eps is the empty-frame rule of from_operating_point
+    assert DetectorConfig(k_max=1, eps=math.inf).eps == math.inf
+
+
+def test_detector_config_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        DetectorConfig(k_max=1, eps=math.nan)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_detector_config_rejects_non_finite_refine_window(value):
+    with pytest.raises(ValueError, match="refine_window"):
+        DetectorConfig(k_max=1, eps=1.0, refine_window=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_detector_config_rejects_non_finite_refine_resolution(value):
+    with pytest.raises(ValueError, match="refine_resolution"):
+        DetectorConfig(k_max=1, eps=1.0, refine_resolution=value)
 
 
 def test_from_operating_point_frozen():
@@ -159,6 +185,95 @@ def test_refine_delay_reconciles_components():
         refine_delay(np.array([0.1]), cfg)
 
 
+def full_grid_delay(components, cfg):
+    """The full-grid delay search refine_delay replaced, kept verbatim as its
+    oracle: every grid point's residual, then the first argmin."""
+    components = np.asarray(components, dtype=np.float64)
+    first = components[0]
+    steps = int(round(cfg.refine_window / cfg.refine_resolution))
+    grid = first - np.arange(-steps, steps + 1) * cfg.refine_resolution
+    scale = 2.0 ** np.arange(components.size)
+    predicted = wrap(scale[:, None] * grid[None, :])
+    residual = np.sum(wrap(components[:, None] - predicted) ** 2, axis=0)
+    return float(wrap(grid[int(np.argmin(residual))]))
+
+
+def tied_components(m, first, j, resolution):
+    """Components whose noiseless residual e^2 + sum_l 4^l (e - e0)^2 has its
+    minimum halfway between grid corrections j and j + 1, so the two tie up
+    to rounding."""
+    s2 = sum(4.0**l for l in range(1, m))
+    e0 = (j + 0.5) * resolution * (1.0 + s2) / s2
+    comps = wrap(2.0 ** np.arange(m) * (first - e0))
+    comps[0] = first
+    return comps
+
+
+SEARCH_CONFIGS = [
+    DetectorConfig(k_max=1, eps=0.0, refine_window=window, refine_resolution=resolution)
+    for window in (0.0, 0.1, 0.5)
+    for resolution in (1e-4, 1e-3)
+]
+
+
+@st.composite
+def delay_components(draw):
+    m = draw(st.integers(2, 14))
+    kind = draw(st.sampled_from(["noisy", "near_pi", "tie"]))
+    if kind == "tie":
+        first = draw(st.floats(-math.pi, math.pi))
+        return tied_components(m, first, draw(st.integers(-200, 199)), 1e-4)
+    if kind == "near_pi":
+        sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+        gap = np.array(draw(st.lists(st.floats(0.0, 1e-12), min_size=m, max_size=m)))
+        return sign * (np.pi - gap)
+    delta = draw(st.floats(-math.pi, math.pi))
+    noise = draw(st.floats(0.0, math.pi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return wrap(2.0 ** np.arange(m) * delta + noise * rng.standard_normal(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delay_components(), st.sampled_from(SEARCH_CONFIGS))
+def test_refine_delay_equals_full_grid_search(comps, cfg):
+    assert refine_delay(comps, cfg) == full_grid_delay(comps, cfg)
+
+
+def test_refine_delay_near_ties_keep_several_grid_points(monkeypatch):
+    """The screen keeps both halves of a near tie, and the exact stage then
+    breaks it as the full grid does."""
+    exact_shapes = []
+
+    def recording_wrap(x):
+        exact_shapes.append(np.shape(x))
+        return wrap(x)
+
+    monkeypatch.setattr(slot_detector, "_wrap", recording_wrap)
+    cfg = DetectorConfig(k_max=1, eps=0.0, refine_window=0.1, refine_resolution=1e-4)
+    for m in (2, 3, 6):
+        for first in (0.3, -2.9, 3.1):
+            for j in (-40, 0, 17):
+                comps = tied_components(m, first, j, 1e-4)
+                exact_shapes.clear()
+                assert refine_delay(comps, cfg) == full_grid_delay(comps, cfg)
+                # the exact stage's wraps see (m, survivors) arrays
+                assert exact_shapes[0][0] == m and exact_shapes[0][1] >= 2
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 3.2, -3.2, np.nextafter(np.pi, 4.0)]
+)
+def test_refine_delay_rejects_components_outside_wrapped_range(bad):
+    cfg = DetectorConfig(k_max=1, eps=0.0)
+    for position in (0, 3):
+        comps = np.full(6, 0.5)
+        comps[position] = bad
+        with pytest.raises(ValueError, match="finite and in"):
+            refine_delay(comps, cfg)
+    # the range is closed: both ends are accepted
+    assert math.isfinite(refine_delay(np.array([np.pi, -np.pi, 0.0]), cfg))
+
+
 def test_reconstruct_and_cancel():
     rng = np.random.default_rng(52)
     pair = transmit_pair(rng, 5)
@@ -267,6 +382,19 @@ def test_detect_slot_rejects_non_finite_observation(bad):
             detect_slot(Y, DetectorConfig(k_max=2, eps=eps))
 
 
+def test_detect_slot_takes_any_memory_layout():
+    rng = np.random.default_rng(59)
+    pair = transmit_pair(rng, 5)
+    Y = slot_of([pair], [rng.standard_normal(3) + 1j * rng.standard_normal(3)], [0.6])
+    cfg = DetectorConfig(k_max=2, eps=1e-9)
+    expected = detect_slot(Y, cfg)
+    for layout in (np.asfortranarray(Y), np.repeat(Y, 2, axis=1)[:, ::2], Y.astype(np.complex64)):
+        got = detect_slot(layout, cfg)
+        assert [d.pair for d in got] == [pair]
+        if layout.dtype == Y.dtype:
+            assert got[0].residual_after == expected[0].residual_after
+
+
 def test_detect_slot_does_not_mutate_input():
     rng = np.random.default_rng(57)
     pair = transmit_pair(rng, 4)
@@ -275,3 +403,44 @@ def test_detect_slot_does_not_mutate_input():
     before = Y.copy()
     detect_slot(Y, DetectorConfig(k_max=2, eps=1e-9))
     np.testing.assert_array_equal(Y, before)
+
+
+_BLAS_PROBE = """
+import numpy as np
+from rmaccess.geometry_channel import synthesize_slot
+from rmaccess.rm_codec import BitLayout, pack_bits, rm_samples
+from rmaccess.slot_detector import DetectorConfig, detect_slot
+
+rng = np.random.default_rng(58)
+layout = BitLayout.asynchronous(11, 1)
+X, h = [], []
+for scale in (2.0, 1.0):
+    payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
+    pair = pack_bits(payload, np.ones(1, np.uint8), False, layout)
+    X.append(rm_samples(pair.P, pair.b))
+    h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=16)))
+Y = synthesize_slot(np.stack(X), np.stack(h), np.array([0.4, -1.3]), gamma=1.0)
+Y = Y + 0.1 * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
+for det in detect_slot(Y, DetectorConfig(k_max=3, eps=0.0)):
+    print(det.pair.P.tobytes().hex(), det.pair.b.tobytes().hex(), det.h_hat.tobytes().hex(),
+          det.delta_hat.hex(), det.residual_before.hex(), det.residual_after.hex())
+"""
+
+
+def test_detect_slot_independent_of_blas_threads():
+    """An m = 11, r = 16 slot holds 32768 entries, enough for OpenBLAS to
+    split a dot product across threads; detections and residual norms must
+    not depend on that."""
+    import rmaccess
+
+    src = str(Path(rmaccess.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].strip()
+    assert outputs[0] == outputs[1]
