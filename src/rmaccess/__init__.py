@@ -24,7 +24,6 @@ from .geometry_channel import (
     interference_power,
     sample_frame,
     synthesize_slot,
-    time_domain_reference,
 )
 from .rm_codec import (
     BitLayout,
@@ -88,7 +87,6 @@ __all__ = [
     "classify_neighbors",
     "synthesize_slot",
     "frame_observations",
-    "time_domain_reference",
     # harness
     "ExperimentSpec",
     "run_sweep",

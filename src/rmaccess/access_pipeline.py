@@ -30,8 +30,6 @@ from .rm_codec import (
     RmPair,
     binary_index,
     bits_to_int,
-    bits_to_pair,
-    pair_to_bits,
     unpack_bits,
 )
 from .slot_detector import DetectorConfig
@@ -41,7 +39,6 @@ __all__ = [
     "FrameDecodeResult",
     "ErrorMetrics",
     "tree_encode",
-    "tree_encode_batch",
     "tree_decode",
     "segment_pair_bits",
     "draw_messages",
@@ -173,15 +170,10 @@ def _parity_matrix(seed: int, j: int, rows: int, cols: int) -> np.ndarray:
     return mat
 
 
-def tree_encode(info: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Split B info bits into 2**d segments, appending to sub-block j parity
-    bits that are a seeded random binary linear map of all info bits of
-    sub-blocks before j.  Returns (2**d, segment_bits)."""
-    return tree_encode_batch(np.asarray(info, dtype=np.uint8)[None, :], cfg)[0]
-
-
-def tree_encode_batch(infos: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """tree_encode on rows: (k, B) -> (k, 2**d, segment_bits)."""
+def tree_encode(infos: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Split each row's B info bits into 2**d segments, appending to
+    sub-block j parity bits that are a seeded random binary linear map of
+    all info bits of sub-blocks before j: (k, B) -> (k, 2**d, segment_bits)."""
     infos = np.asarray(infos, dtype=np.uint8)
     if infos.ndim != 2 or infos.shape[1] != cfg.message_bits:
         raise ValueError(f"expected (k, {cfg.message_bits}) info bits, got {infos.shape}")
@@ -312,12 +304,12 @@ def draw_messages(
     if count < 0:
         raise ValueError("count must be nonnegative")
     infos = rng.integers(0, 2, size=(count, cfg.message_bits), dtype=np.uint8)
-    segments = tree_encode_batch(infos, cfg)
+    segments = tree_encode(infos, cfg)
     if not cfg.synchronous and count:
         bad = ~segments[:, :, cfg.p : 2 * cfg.p].any(axis=2).all(axis=1)
         while bad.any():
             infos[bad] = rng.integers(0, 2, size=(int(bad.sum()), cfg.message_bits), dtype=np.uint8)
-            segments[bad] = tree_encode_batch(infos[bad], cfg)
+            segments[bad] = tree_encode(infos[bad], cfg)
             bad = ~segments[:, :, cfg.p : 2 * cfg.p].any(axis=2).all(axis=1)
     return infos, segments, _slots_from_segments(segments, cfg)
 
@@ -338,9 +330,11 @@ class FrameDecodeResult:
 
 
 def _flip_check(pair: RmPair, layout: BitLayout) -> RmPair:
-    bits = pair_to_bits(pair).copy()
-    bits[layout.check_pos] ^= 1
-    return bits_to_pair(bits)
+    """The pair of a message's other copy.  The check bit is b[m-2]
+    (BitLayout.asynchronous), so only b changes and the pair stays valid."""
+    b = pair.b.copy()
+    b[layout.check_pos] ^= 1
+    return RmPair._trusted(pair.P, b)
 
 
 def decode_frame(

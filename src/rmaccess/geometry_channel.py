@@ -19,13 +19,13 @@ Slot observations live in the post-DFT frequency domain,
 with n = 1..N one-based, Delta_k = 2 pi delta_f tau_k the normalized delay
 and Z unit-variance circular Gaussian.  synthesize_slot is the one kernel
 for the signal sum; frame_observations draws Z up front and calls it per
-slot group.  time_domain_reference rebuilds the noise-free observation the
-long way (continuous-time waveform, sampling, prefix discard, DFT) and
-exists to pin the model down in tests.
+slot group.  The tests pin the model down against an oracle that rebuilds
+the noise-free observation the long way (continuous-time waveform,
+sampling, prefix discard, DFT).
 
 The normalized delay is drawn uniform on [-pi, pi); the seconds-valued tau
 is derived from it and clamped to [0, tau_max], so the frequency-domain
-model governs and the clamp only matters to the time-domain path.
+model governs and the clamp only matters to the tests' time-domain oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "classify_neighbors",
     "synthesize_slot",
     "frame_observations",
-    "time_domain_reference",
 ]
 
 
@@ -267,47 +266,3 @@ def frame_observations(
     Y.setflags(write=False)
     return Y
 
-
-def time_domain_reference(
-    X: np.ndarray,
-    h: np.ndarray,
-    tau: np.ndarray,
-    delta_f: float,
-    tau_max: float,
-    gamma: float,
-) -> np.ndarray:
-    """Noise-free observation of one slot built through the time domain.
-
-    X (k, n), h (k, r) and tau (k,) as in synthesize_slot, with tau in
-    seconds.  The continuous-time superposition
-    sum_n X(n) e**(2 pi i n delta_f (t - tau)) is sampled at
-    t_u = u / (N delta_f) for u = 1..N+M, the first M = ceil(tau_max N
-    delta_f) prefix samples are discarded, and the retained block is
-    projected onto the subcarriers with the absolute sample index in the
-    kernel,
-
-        Y[n'] = (1/N) sum_{u=M+1}^{M+N} y(t_u) e**(-2 pi i n' u / N),
-
-    which lands exactly on the frequency-domain model for any tau within
-    [0, tau_max].  A tau outside that window violates the prefix model and
-    raises.
-    """
-    if delta_f <= 0:
-        raise ValueError("delta_f must be positive")
-    if tau_max < 0:
-        raise ValueError("tau_max must be nonnegative")
-    X, h, tau = np.asarray(X), np.asarray(h), np.asarray(tau, dtype=np.float64)
-    _check_stack(X, h, tau)
-    if ((tau < 0) | (tau > tau_max)).any():
-        raise ValueError(f"delays {tau} leave the prefix window [0, {tau_max}]")
-    n = X.shape[1]
-    m_cp = math.ceil(tau_max * n * delta_f)
-    u = np.arange(1, n + m_cp + 1)
-    t = u / (n * delta_f)
-    n_idx = np.arange(1, n + 1)
-    # carriers[k, n, u] = e**(2 pi i n delta_f (t_u - tau_k))
-    carriers = np.exp(2j * math.pi * delta_f * n_idx[:, None] * (t - tau[:, None, None]))
-    waves = np.einsum("kn,knu->ku", X, carriers)
-    retained = math.sqrt(gamma) * np.einsum("kl,ku->lu", h, waves)[:, m_cp:]
-    kernel = np.exp(-2j * math.pi * np.outer(n_idx, u[m_cp:]) / n) / n
-    return retained @ kernel.T

@@ -5,10 +5,11 @@ binary m x m matrix P and a binary m-vector b: sample n (1-based) equals
 i**(2*b'a + a'Pa) where a is the m-bit binary expression of n - 1.  Each
 sequence is two interleaved copies of a shorter one, the even-position copy
 modulated by a Walsh function whose frequency is the last off-diagonal
-column of P.  This module exposes that half-length subsequence structure,
-builds stacks of sequences through it layer by layer in O(2**m) per
-sequence, provides the fast Walsh-Hadamard transform the detector uses to
-locate the frequency, and packs message fields into pairs and back.
+column of P.  rm_samples_batch is the one sequence builder: it runs that
+recursion layer by layer in O(2**m) per sequence, and rm_samples is its
+batch of one.  walsh_factor gives the modulating factor of one layer, wht
+is the fast Walsh-Hadamard transform the detector uses to locate its
+frequency, and the rest packs message fields into pairs and back.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
 the least significant bit, i.e. vectors read MSB-first.  The subsequence
@@ -30,7 +31,6 @@ __all__ = [
     "bits_to_int",
     "rm_samples",
     "rm_samples_batch",
-    "subsequence_factor",
     "walsh_factor",
     "wht",
     "pair_to_bits",
@@ -42,16 +42,6 @@ __all__ = [
 
 # i**k lookup; exponents are always reduced mod 4 before indexing.
 _IOTA_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-
-
-@lru_cache(maxsize=None)
-def _bit_table(width: int) -> np.ndarray:
-    """Rows 0..2**width-1 as width-bit vectors, MSB first. Read-only."""
-    idx = np.arange(1 << width, dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    table = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-    table.setflags(write=False)
-    return table
 
 
 def binary_index(n: int, s: int) -> np.ndarray:
@@ -76,8 +66,10 @@ def bits_to_int(bits: np.ndarray) -> int:
     if bits.ndim != 1:
         raise ValueError("expected a 1-D bit vector")
     value = 0
-    for bit in bits:
-        value = (value << 1) | int(bit)
+    for bit in bits.tolist():
+        if bit not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {bit}")
+        value = (value << 1) | bit
     return value
 
 
@@ -110,6 +102,15 @@ class RmPair:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def _trusted(cls, P: np.ndarray, b: np.ndarray) -> "RmPair":
+        """A pair of uint8 arrays the package built valid, without the checks."""
+        pair = object.__new__(cls)
+        for name, arr in (("P", P), ("b", b)):
+            arr.setflags(write=False)
+            object.__setattr__(pair, name, arr)
+        return pair
+
     @property
     def m(self) -> int:
         return self.b.size
@@ -124,21 +125,6 @@ class RmPair:
 
     def __hash__(self) -> int:
         return hash(self.key())
-
-
-def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sample vector of the sequence identified by (P, b), as a raw array.
-
-    samples[n-1] = i**(2*b'a + a'Pa) with a = binary_index(n-1, m).
-    Exact complex values from a lookup table, no trig.
-    """
-    b = np.asarray(b, dtype=np.int64)
-    P = np.asarray(P, dtype=np.int64)
-    m = b.size
-    A = _bit_table(m)
-    quad = np.einsum("ni,ij,nj->n", A, P, A)
-    expo = (2 * (A @ b) + quad) & 3
-    return _IOTA_POW[expo]
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +142,16 @@ def _walsh_table(width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _walsh_values(width: int) -> np.ndarray:
+    """Row c holds i**(c + 2*parity(n)) for n = 0..2**width-1, c = 0..3.
+    Read-only."""
+    twice_parity = _walsh_table(width)[1]
+    values = _IOTA_POW[(twice_parity + np.arange(4, dtype=np.uint8)[:, None]) & 3]
+    values.setflags(write=False)
+    return values
+
+
+@lru_cache(maxsize=None)
 def _column_weights(m: int) -> np.ndarray:
     """weights[i, w] = 2**(w-1-i) above the diagonal, else 0: column w of P
     dotted with it is P[:w, w] read MSB-first as an integer. Read-only."""
@@ -167,9 +163,10 @@ def _column_weights(m: int) -> np.ndarray:
 
 
 def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """rm_samples for a stack of pairs: Ps (k, m, m), bs (k, m) -> (k, 2**m).
+    """Sample vectors of a stack of pairs: Ps (k, m, m), bs (k, m) -> (k, 2**m).
 
-    Built through the layer recursion on uint8 exponents, O(2**m) per pair:
+    The package's one sequence builder, through the layer recursion on
+    uint8 exponents, O(2**m) per pair:
     E_s = interleave(E_{s-1}, E_{s-1} + 2*b[s-1] + P[s-1, s-1]
     + 2*parity(n' & eta_s)) mod 4, with eta_s = P[:s-1, s-1] read MSB-first,
     so only the upper triangle of P is read; P must be symmetric.
@@ -181,24 +178,37 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     k, m = bs.shape
     if m < 1 or Ps.shape[1:] != (m, m):
         raise ValueError(f"expected nonempty b rows and {m} x {m} P matrices, got {Ps.shape[1:]}")
-    if ((Ps != 0) & (Ps != 1)).any() or ((bs != 0) & (bs != 1)).any():
+    if (Ps.astype(bool) != Ps).any() or (bs.astype(bool) != bs).any():
         raise ValueError("P and b entries must be 0 or 1")
     if (Ps != Ps.transpose(0, 2, 1)).any():
         raise ValueError("P must be symmetric")
     Ps = Ps.astype(np.uint8)
-    shifts = 2 * bs.astype(np.uint8) + Ps.diagonal(axis1=1, axis2=2)
-    etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))
-    expo = np.zeros((k, 1), dtype=np.uint8)
-    for w in range(m):  # layer s = w + 1 appends the bit a[w]
+    shifts = (2 * bs.astype(np.uint8) + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
+    etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))[:, :, None]
+    # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
+    # mod 4 waits for the last layer; layer 1 is [0, shift]
+    expo = np.zeros((k, 2), dtype=np.uint8)
+    expo[:, 1] = shifts[0, :, 0]
+    for w in range(1, m):  # layer s = w + 1 appends the bit a[w]
         idx, twice_parity = _walsh_table(w)
-        odd = twice_parity[idx & etas[w, :, None]]
+        odd = twice_parity[idx & etas[w]]
         odd += expo
-        odd += shifts[:, w, None]
+        odd += shifts[w]
         nxt = np.empty((k, 2 << w), dtype=np.uint8)
         nxt[:, 0::2] = expo
-        np.bitwise_and(odd, 3, out=nxt[:, 1::2])
+        nxt[:, 1::2] = odd
         expo = nxt
-    return _IOTA_POW[expo]
+    return _IOTA_POW[expo & 3]
+
+
+def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sample vector of the sequence identified by (P, b), as a raw array:
+    rm_samples_batch of the one pair.
+
+    samples[n-1] = i**(2*b'a + a'Pa) with a = binary_index(n-1, m).
+    Exact complex values from a lookup table, no trig.
+    """
+    return rm_samples_batch(np.asarray(P)[None], np.asarray(b)[None])[0]
 
 
 def walsh_factor(eta: np.ndarray, b_bit: int, beta_bit: int) -> np.ndarray:
@@ -206,33 +216,13 @@ def walsh_factor(eta: np.ndarray, b_bit: int, beta_bit: int) -> np.ndarray:
 
     V[n-1] = i**(2*b_bit + beta_bit + 2*eta'a) over a = binary_index(n-1, s-1),
     a Walsh function of frequency eta times a fixed fourth root of unity.
+    For a pair (P, b), the order-s truncation X and the order-(s-1)
+    truncation X_half satisfy X[0::2] == X_half and X[1::2] == V * X_half
+    with eta = P[:s-1, s-1], b_bit = b[s-1], beta_bit = P[s-1, s-1].
     """
-    eta = np.asarray(eta, dtype=np.int64)
-    if eta.ndim != 1:
-        raise ValueError("eta must be a 1-D bit vector")
-    A = _bit_table(eta.size)
-    expo = (2 * int(b_bit) + int(beta_bit) + 2 * (A @ eta)) & 3
-    return _IOTA_POW[expo]
-
-
-def subsequence_factor(pair: RmPair, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walsh factor and frequency linking layer s to layer s-1 of a pair.
-
-    For X the sequence of the order-s truncation of `pair` and X_half the
-    sequence of its order-(s-1) truncation:
-
-        X[1::2] == V * X_half      (0-based even python indices are odd n)
-        X[0::2] == X_half
-
-    where (V, eta) is the return value, eta = P[:s-1, s-1], and V depends on
-    b[s-1] and P[s-1, s-1] as in walsh_factor.
-    """
-    s = int(s)
-    if not 2 <= s <= pair.m:
-        raise ValueError(f"layer must satisfy 2 <= s <= {pair.m}, got {s}")
-    eta = pair.P[: s - 1, s - 1].copy()
-    V = walsh_factor(eta, pair.b[s - 1], pair.P[s - 1, s - 1])
-    return V, eta
+    freq = bits_to_int(eta)  # raises unless eta is a 1-D vector of bits
+    idx = _walsh_table(len(eta))[0]
+    return _walsh_values(len(eta))[(2 * int(b_bit) + int(beta_bit)) & 3][idx & freq]
 
 
 def wht(x: np.ndarray) -> np.ndarray:
@@ -249,16 +239,16 @@ def wht(x: np.ndarray) -> np.ndarray:
     n = arr.size
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    out = arr.astype(np.complex128, copy=True)
-    h = 1
-    while h < n:
-        blocks = out.reshape(-1, 2 * h)
-        even = blocks[:, :h].copy()
-        odd = blocks[:, h:].copy()
-        blocks[:, :h] = even + odd
-        blocks[:, h:] = even - odd
-        h *= 2
-    return out
+    # Constant geometry: each pass writes the sums of adjacent entries to
+    # the first half and their differences to the second, so every output
+    # is the same chain of additions as radix-2 butterflies in place.
+    src = arr.astype(np.complex128, copy=True)
+    dst = np.empty_like(src)
+    for _ in range(n.bit_length() - 1):
+        np.add(src[0::2], src[1::2], out=dst[: n // 2])
+        np.subtract(src[0::2], src[1::2], out=dst[n // 2 :])
+        src, dst = dst, src
+    return src
 
 
 @lru_cache(maxsize=None)
@@ -285,17 +275,12 @@ def _order_from_total(total: int) -> int:
 
 
 def bits_to_pair(bits: np.ndarray) -> RmPair:
-    """Inverse of pair_to_bits."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    """Inverse of pair_to_bits: bits_to_pair_batch of the one row."""
+    bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("expected a 1-D bit vector")
-    m = _order_from_total(bits.size)
-    b = bits[:m].copy()
-    P = np.zeros((m, m), dtype=np.uint8)
-    rows, cols = _triu_coords(m)
-    P[rows, cols] = bits[m:]
-    P = np.maximum(P, P.T)
-    return RmPair(P, b)
+    Ps, bs = bits_to_pair_batch(bits[None])
+    return RmPair(Ps[0], bs[0])
 
 
 def bits_to_pair_batch(bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

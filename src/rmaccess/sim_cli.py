@@ -23,6 +23,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +83,13 @@ def calibrated_epsilon(frame: FrameConfig, geo: GeometryConfig) -> float:
     return math.sqrt(noise + interference)
 
 
+def _is_integral(value) -> bool:
+    """An int, or a real number with an integer value; bools are not."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    return float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: fixed physics, code defaults, sweep axes, trial plan.
@@ -114,11 +122,16 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        for axis in self.sweep:
+        for axis, values in self.sweep.items():
             if axis not in _AXES:
                 raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
-            if not self.sweep[axis]:
+            if not values:
                 raise ValueError(f"sweep axis {axis!r} is empty")
+            for value in values:
+                if not _is_integral(value):
+                    raise ValueError(f"sweep axis {axis!r} has non-integer value {value!r}")
+            if len({int(v) for v in values}) != len(values):
+                raise ValueError(f"sweep axis {axis!r} repeats a value: {list(values)}")
 
     @property
     def gamma(self) -> float:
@@ -279,15 +292,19 @@ def _record_key(rec: dict) -> tuple:
 
 
 def _resolve_workers(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("RMACCESS_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"RMACCESS_WORKERS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    source = "workers"
+    if explicit is None:
+        explicit = os.environ.get("RMACCESS_WORKERS", "").strip()
+        if not explicit:
+            return os.cpu_count() or 1
+        source = "RMACCESS_WORKERS"
+    try:
+        count = int(explicit)
+    except ValueError as exc:
+        raise ValueError(f"{source} must be an integer, got {explicit!r}") from exc
+    if count < 1:
+        raise ValueError(f"{source} must be at least 1, got {explicit!r}")
+    return count
 
 
 def _aggregate(records: list[dict]) -> list[str]:
@@ -379,19 +396,31 @@ def scaling_bench(
     seed: int = 2024,
 ) -> list[dict]:
     """Decoder wall time across sequence orders, against the per-iteration
-    work model 2**m (m**2 + 3m + r - 2) times the iteration cap.
+    work model 2**m (4r + m + 2) times the iteration cap.
+
+    The model counts the array entries one SIC iteration of detect_slot
+    touches at order m with r antennas and N = 2**m.  Four passes run over
+    r rows: the layers' adjacent-column correlations and their folds (r
+    2**(s-1) at layer s, about rN each over s = m..2), the cancellation
+    Y - outer(h, X * ramp) and the residual norm (rN each).  The layers'
+    Walsh-Hadamard transforms take s-1 passes over 2**(s-1) entries,
+    (m - 2) N + 2 in all.  The layers' peak magnitudes and Walsh factors
+    and the reconstruction's sequence recursion and delay ramp add about N
+    each, 4N in all.
 
     Each point is a noiseless two-device slot decoded with eps = 0 and
-    k_max = 2, so every run spends exactly two iterations.  Times are the
-    best of `reps` runs; `normalized` is time / (c * model) with one shared
-    constant c fitted as the geometric mean of the time/model ratios, so
-    values near 1 across m mean the measured growth matches the model.
-    The default grid starts at m=11: below that, fixed per-call overhead
-    rather than the modeled arithmetic dominates the wall time.
+    k_max = 2, so every run spends exactly two iterations.  Each round
+    decodes every slot once, so a slow spell of the machine reaches all
+    orders alike, and each time is the best of `reps` rounds.
+    `normalized` is time / (c * model) with one shared constant c fitted
+    as the geometric mean of the time/model ratios, so values near 1 across
+    m mean the measured growth matches the model.  The default grid starts
+    at m=11: below that, fixed per-call overhead rather than the modeled
+    arithmetic dominates the wall time.
     """
     rng = np.random.default_rng(seed)
     cfg = DetectorConfig(k_max=2, eps=0.0)
-    results = []
+    slots, results = [], []
     for m in m_values:
         layout = BitLayout.asynchronous(int(m), 1)
         X, h, delta = [], [], []
@@ -401,22 +430,14 @@ def scaling_bench(
             X.append(rm_samples(pair.P, pair.b))
             h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=r)))
             delta.append(rng.uniform(-math.pi, math.pi))
-        Y = synthesize_slot(np.stack(X), np.stack(h), np.array(delta), gamma=1.0)
-        best = math.inf
-        for _ in range(max(1, reps)):
+        slots.append(synthesize_slot(np.stack(X), np.stack(h), np.array(delta), gamma=1.0))
+        model = cfg.k_max * (2.0**m) * (4 * r + m + 2)
+        results.append({"m": int(m), "r": int(r), "seconds": math.inf, "model": model})
+    for _ in range(max(1, reps)):
+        for Y, rec in zip(slots, results):
             started = time.perf_counter()
-            detections = detect_slot(Y, cfg)
-            best = min(best, time.perf_counter() - started)
-        model = cfg.k_max * (2.0**m) * (m * m + 3 * m + r - 2)
-        results.append(
-            {
-                "m": int(m),
-                "r": int(r),
-                "detections": len(detections),
-                "seconds": best,
-                "model": model,
-            }
-        )
+            rec["detections"] = len(detect_slot(Y, cfg))
+            rec["seconds"] = min(rec["seconds"], time.perf_counter() - started)
     ratios = np.array([rec["seconds"] / rec["model"] for rec in results])
     constant = float(np.exp(np.mean(np.log(ratios))))
     for rec in results:
@@ -457,6 +478,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     m_values = tuple(int(v) for v in args.m.split(","))
     results = scaling_bench(m_values=m_values, r=args.r, reps=args.reps, seed=args.seed)
+    print("work model: 2**m (4r + m + 2) per SIC iteration, 2 iterations per run")
     print(f"{'m':>4} {'r':>4} {'seconds':>12} {'model':>14} {'normalized':>11}")
     for rec in results:
         print(

@@ -302,7 +302,7 @@ def reconstruct_signal(pair: RmPair, h_hat: np.ndarray, delta_hat: float) -> np.
     sqrt(gamma) scale)."""
     samples = rm_samples(pair.P, pair.b)
     n_idx = np.arange(1, samples.size + 1)
-    return np.outer(np.asarray(h_hat), samples * np.exp(-1j * delta_hat * n_idx))
+    return np.ravel(h_hat)[:, None] * (samples * np.exp(-1j * delta_hat * n_idx))
 
 
 def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
@@ -345,7 +345,8 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
         delta_hat = refine_delay(components, cfg)
     else:
         delta_hat = 0.0
-    return RmPair(P, b), h_hat, delta_hat, components
+    # P is symmetric and binary by construction
+    return RmPair._trusted(P, b), h_hat, delta_hat, components
 
 
 def _norm(Y: np.ndarray) -> float:
@@ -365,7 +366,7 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     detections in the order found (strongest first on clean scenes); the
     input is never mutated.  A non-finite observation raises.
     """
-    Y = np.array(Y, dtype=np.complex128, order="C")
+    Y = np.ascontiguousarray(Y, dtype=np.complex128)  # never written to
     if Y.ndim != 2:
         raise ValueError("expected an antennas x subcarriers observation")
     n = Y.shape[1]

@@ -13,7 +13,6 @@ from rmaccess.access_pipeline import (
     segment_pair_bits,
     tree_decode,
     tree_encode,
-    tree_encode_batch,
 )
 from rmaccess.geometry_channel import (
     GeometryConfig,
@@ -72,20 +71,23 @@ def test_tree_encode_shapes_and_linearity():
     rng = np.random.default_rng(60)
     a = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
     b = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
-    ea, eb, exor = tree_encode(a, cfg), tree_encode(b, cfg), tree_encode(a ^ b, cfg)
-    assert ea.shape == (4, cfg.segment_bits)
+    segs = tree_encode(np.stack([a, b, a ^ b]), cfg)
+    assert segs.shape == (3, 4, cfg.segment_bits)
+    ea, eb, exor = segs
     np.testing.assert_array_equal(exor, ea ^ eb)  # the parity map is linear
-    assert not tree_encode(np.zeros(cfg.message_bits, np.uint8), cfg).any()
-    batch = tree_encode_batch(np.stack([a, b]), cfg)
-    np.testing.assert_array_equal(batch[0], ea)
-    np.testing.assert_array_equal(batch[1], eb)
+    assert not tree_encode(np.zeros((1, cfg.message_bits), np.uint8), cfg).any()
+    # rows are encoded independently of each other
+    np.testing.assert_array_equal(tree_encode(b[None], cfg)[0], eb)
+    assert tree_encode(np.zeros((0, cfg.message_bits), np.uint8), cfg).shape == (0, 4, cfg.segment_bits)
+    with pytest.raises(ValueError):
+        tree_encode(a, cfg)  # one message is a row, not a vector
 
 
 def test_tree_encode_frozen_regression():
     # seed 2024, d=1 split of a fixed ramp message
     cfg = FrameConfig(m=6, p=6, d=1)
     info = (np.arange(cfg.message_bits) % 3 == 0).astype(np.uint8)
-    segs = tree_encode(info, cfg)
+    segs = tree_encode(info[None], cfg)[0]
     assert "".join(map(str, segs[0])) == "100100100100100100100100100100"
     assert "".join(map(str, segs[1])) == "100100100100100100000110110101"
 
@@ -94,7 +96,7 @@ def test_tree_encode_seed_changes_parity():
     cfg_a = FrameConfig(m=6, p=6, d=1)
     cfg_b = FrameConfig(m=6, p=6, d=1, parity_seed=77)
     info = np.ones(cfg_a.message_bits, dtype=np.uint8)
-    sa, sb = tree_encode(info, cfg_a), tree_encode(info, cfg_b)
+    sa, sb = tree_encode(info[None], cfg_a)[0], tree_encode(info[None], cfg_b)[0]
     np.testing.assert_array_equal(sa[0], sb[0])  # info placement identical
     assert not np.array_equal(sa[1], sb[1])  # parity bits move with the seed
 
@@ -104,7 +106,7 @@ def test_tree_round_trip_all_depths():
     for d in (0, 1, 2):
         cfg = FrameConfig(m=6, p=6, d=d)
         infos = rng.integers(0, 2, size=(6, cfg.message_bits), dtype=np.uint8)
-        segs = tree_encode_batch(infos, cfg)
+        segs = tree_encode(infos, cfg)
         # candidates arrive per sub-block, in scrambled order
         candidates = []
         for j in range(cfg.n_subblocks):
@@ -123,7 +125,7 @@ def test_tree_decode_prunes_parity_mismatch():
     info_a = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
     info_b = info_a.copy()
     info_b[0] ^= 1  # differs inside sub-block 0's info field
-    seg_a, seg_b = tree_encode(info_a, cfg), tree_encode(info_b, cfg)
+    seg_a, seg_b = tree_encode(np.stack([info_a, info_b]), cfg)
     assert not np.array_equal(seg_a[1], seg_b[1])  # the flip moves the parity
     result = tree_decode([[seg_a[0], seg_b[0]], [seg_a[1]]], cfg)
     assert len(result.messages) == 1
@@ -134,13 +136,13 @@ def test_tree_decode_dedup_and_overflow():
     cfg = FrameConfig(m=6, p=6, d=1)
     rng = np.random.default_rng(63)
     info = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
-    segs = tree_encode(info, cfg)
+    segs = tree_encode(info[None], cfg)[0]
     # the same segment offered twice collapses to one message
     result = tree_decode([[segs[0], segs[0]], [segs[1]]], cfg)
     assert len(result.messages) == 1
     # a second valid message pushes past a path cap of one
     info2 = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
-    segs2 = tree_encode(info2, cfg)
+    segs2 = tree_encode(info2[None], cfg)[0]
     capped = tree_decode([[segs[0], segs2[0]], [segs[1], segs2[1]]], cfg, path_cap=1)
     assert capped.overflow
     assert len(capped.messages) == 1
@@ -198,7 +200,7 @@ def test_draw_messages():
     assert info.shape == (400, cfg.message_bits)
     assert segs.shape == (400, 2, cfg.segment_bits)
     assert slots.shape == (400, 2, 2)
-    np.testing.assert_array_equal(segs, tree_encode_batch(info, cfg))
+    np.testing.assert_array_equal(segs, tree_encode(info, cfg))
     # primary slot from the first p segment bits, secondary through the translate
     for k in range(50):
         for j in range(cfg.n_subblocks):

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
+from oracles import time_domain_reference
 from rmaccess.access_pipeline import FrameConfig, draw_messages
 from rmaccess.geometry_channel import (
     GeometryConfig,
@@ -20,7 +21,6 @@ from rmaccess.geometry_channel import (
     interference_power,
     sample_frame,
     synthesize_slot,
-    time_domain_reference,
 )
 from rmaccess.rm_codec import (
     bits_to_pair,

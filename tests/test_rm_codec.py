@@ -19,11 +19,11 @@ from rmaccess.rm_codec import (
     pair_to_bits,
     rm_samples,
     rm_samples_batch,
-    subsequence_factor,
     unpack_bits,
     walsh_factor,
     wht,
 )
+from oracles import bit_table_walsh_factor, einsum_samples_batch, radix2_wht
 
 
 def reference_samples(P, b):
@@ -36,16 +36,6 @@ def reference_samples(P, b):
         lin = sum(int(b[i]) * a[i] for i in range(m))
         out.append(1j ** ((2 * lin + quad) % 4))
     return np.array(out)
-
-
-def einsum_samples_batch(Ps, bs):
-    # the m^2 quadratic-form evaluation that rm_samples_batch replaced
-    Ps = np.asarray(Ps, dtype=np.int64)
-    bs = np.asarray(bs, dtype=np.int64)
-    m = bs.shape[1]
-    A = ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int64)
-    quad = np.einsum("ni,kij,nj->kn", A, Ps, A)
-    return np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])[(2 * (bs @ A.T) + quad) & 3]
 
 
 def random_pair(rng, m):
@@ -119,7 +109,7 @@ def test_rm_samples_batch_matches_single():
 
 @st.composite
 def pair_stacks(draw):
-    m = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 14))
     k = draw(st.integers(0, 6))
     upper = draw(arrays(np.uint8, (k, m, m), elements=st.integers(0, 1)))
     upper = np.triu(upper)
@@ -127,8 +117,18 @@ def pair_stacks(draw):
     return upper | upper.transpose(0, 2, 1), bs
 
 
+def fixed_stack(m, k):
+    rng = np.random.default_rng(m)
+    upper = np.triu(rng.integers(0, 2, size=(k, m, m), dtype=np.uint8))
+    return upper | upper.transpose(0, 2, 1), rng.integers(0, 2, size=(k, m), dtype=np.uint8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(pair_stacks())
+@example(fixed_stack(11, 3))
+@example(fixed_stack(12, 2))
+@example(fixed_stack(13, 2))
+@example(fixed_stack(14, 2))
 @example((np.ones((3, 1, 1), np.uint8), np.array([[0], [1], [1]], np.uint8)))
 @example((np.zeros((0, 1, 1), np.uint8), np.zeros((0, 1), np.uint8)))
 @example((np.zeros((0, 10, 10), np.uint8), np.zeros((0, 10), np.uint8)))
@@ -184,18 +184,9 @@ def test_layer_recursion_identity():
         for s in range(2, m + 1):
             X = rm_samples(pair.P[:s, :s], pair.b[:s])
             X_half = rm_samples(pair.P[: s - 1, : s - 1], pair.b[: s - 1])
-            V, eta = subsequence_factor(pair, s)
-            np.testing.assert_array_equal(eta, pair.P[: s - 1, s - 1])
+            V = walsh_factor(pair.P[: s - 1, s - 1], pair.b[s - 1], pair.P[s - 1, s - 1])
             np.testing.assert_array_equal(X[0::2], X_half)
             np.testing.assert_array_equal(X[1::2], V * X_half)
-
-
-def test_subsequence_factor_rejects_bad_layer():
-    pair = random_pair(np.random.default_rng(5), 4)
-    with pytest.raises(ValueError):
-        subsequence_factor(pair, 1)
-    with pytest.raises(ValueError):
-        subsequence_factor(pair, 5)
 
 
 def test_wht_small_examples():
@@ -218,6 +209,17 @@ def test_wht_matches_matrix_oracle():
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("width", range(14))
+def test_wht_matches_radix2_butterflies_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    n = 1 << width
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x[:3] = [complex(-0.0, 0.0), complex(np.inf, 1.0), np.nan][:n]  # signed zero, inf, NaN
+    assert wht(x).tobytes() == radix2_wht(x).tobytes()
+    real = rng.standard_normal(n)
+    assert wht(real).tobytes() == radix2_wht(real).tobytes()
+
+
 def test_wht_involution():
     rng = np.random.default_rng(7)
     for n in (2, 8, 64, 256):
@@ -233,6 +235,33 @@ def test_wht_rejects_bad_lengths():
         wht(np.ones(0))
     with pytest.raises(ValueError):
         wht(np.ones((2, 2)))
+
+
+@st.composite
+def walsh_frequencies(draw):
+    width = draw(st.integers(0, 13))
+    return draw(arrays(np.uint8, width, elements=st.integers(0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walsh_frequencies())
+@example(np.zeros(0, np.uint8))
+@example(np.ones(13, np.uint8))
+def test_walsh_factor_matches_bit_table_definition(eta):
+    for b_bit in (0, 1):
+        for beta_bit in (0, 1):
+            np.testing.assert_array_equal(
+                walsh_factor(eta, b_bit, beta_bit), bit_table_walsh_factor(eta, b_bit, beta_bit)
+            )
+
+
+def test_walsh_factor_rejects_non_bits():
+    # a Walsh frequency is a vector of bits
+    for eta in ([0, 2], [[1, 0]], [-1]):
+        with pytest.raises(ValueError):
+            walsh_factor(eta, 0, 0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        bits_to_int(np.array([1, 3]))
 
 
 def test_walsh_factor_transform_peak():

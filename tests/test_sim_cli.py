@@ -176,7 +176,7 @@ def test_scaling_bench_smoke():
     for rec in results:
         assert rec["detections"] == 2  # k_max exhausted on the two-device slot
         assert rec["seconds"] > 0
-        assert rec["model"] == 2 * 2 ** rec["m"] * (rec["m"] ** 2 + 3 * rec["m"] + 4 - 2)
+        assert rec["model"] == 2 * 2 ** rec["m"] * (4 * 4 + rec["m"] + 2)
         assert rec["normalized"] > 0
 
 
@@ -224,3 +224,39 @@ def test_workers_env_override(monkeypatch, tmp_path):
         _resolve_workers(None)
     monkeypatch.delenv("RMACCESS_WORKERS")
     assert _resolve_workers(None) >= 1
+
+
+@pytest.mark.parametrize(
+    "values", [[2, 2.7], [1.5], [True, 4], [np.bool_(False)], ["4"], [float("nan")]]
+)
+def test_sweep_rejects_non_integer_values(values):
+    with pytest.raises(ValueError, match="sweep axis 'r' has non-integer value"):
+        ExperimentSpec(sweep={"r": values})
+
+
+@pytest.mark.parametrize("values", [[2, 2], [2, 2.0], [4, 1, 4]])
+def test_sweep_rejects_repeated_values(values):
+    # a repeated value used to run every trial of its point twice
+    with pytest.raises(ValueError, match="sweep axis 'r' repeats a value"):
+        ExperimentSpec(sweep={"r": values})
+
+
+def test_sweep_accepts_integral_floats():
+    assert [pt["r"] for pt in ExperimentSpec(sweep={"r": [1, 2.0]}).points()] == [1, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_rejects_non_positive_count(workers):
+    from rmaccess.sim_cli import _resolve_workers
+
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        _resolve_workers(workers)
+
+
+@pytest.mark.parametrize("env", ["0", "-1"])
+def test_workers_env_rejects_non_positive_count(monkeypatch, env):
+    from rmaccess.sim_cli import _resolve_workers
+
+    monkeypatch.setenv("RMACCESS_WORKERS", env)
+    with pytest.raises(ValueError, match="RMACCESS_WORKERS must be at least 1"):
+        _resolve_workers(None)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import einsum_samples_batch
 from rmaccess import slot_detector
+from rmaccess.access_pipeline import _flip_check
 from rmaccess.geometry_channel import synthesize_slot
-from rmaccess.rm_codec import BitLayout, pack_bits, rm_samples, walsh_factor
+from rmaccess.rm_codec import BitLayout, RmPair, pack_bits, rm_samples, walsh_factor
 from rmaccess.slot_detector import (
     DetectorConfig,
     correlate_layer,
@@ -287,6 +289,29 @@ def test_reconstruct_and_cancel():
     det = detect_slot(Y, DetectorConfig(k_max=1, eps=1e-9))[0]
     residual = Y - reconstruct_signal(det.pair, det.h_hat, det.delta_hat)
     assert np.linalg.norm(residual) < 1e-9
+
+
+def test_reconstruct_signal_matches_einsum_oracle():
+    """Bit for bit against outer(h, X e**(-i delta n)) with X from the
+    quadratic form, at m = 2..14: a random pair, a transmit pair, and the
+    transmit pair's other copy as decode_frame queues it for cancellation."""
+    rng = np.random.default_rng(54)
+    for m in range(2, 15):
+        upper = np.triu(rng.integers(0, 2, size=(m, m), dtype=np.uint8))
+        layout = BitLayout.asynchronous(m, 1)
+        payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
+        primary = pack_bits(payload, np.ones(1, np.uint8), False, layout)
+        other = _flip_check(primary, layout)
+        assert other == pack_bits(payload, np.ones(1, np.uint8), True, layout)
+        random_pair = RmPair(upper | upper.T, rng.integers(0, 2, size=m, dtype=np.uint8))
+        for pair in (random_pair, primary, other):
+            h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            delta = float(rng.uniform(-math.pi, math.pi))
+            X = einsum_samples_batch(pair.P[None], pair.b[None])[0]
+            ramp = np.exp(-1j * delta * np.arange(1, X.size + 1))
+            np.testing.assert_array_equal(
+                reconstruct_signal(pair, h, delta), np.outer(h, X * ramp)
+            )
 
 
 def test_single_device_noiseless_round_trip():
