@@ -26,12 +26,10 @@ from .geometry_channel import (
     synthesize_slot,
 )
 from .rm_codec import (
-    BitLayout,
     RmPair,
     binary_index,
     bits_to_int,
-    bits_to_pair,
-    pack_bits,
+    bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
     unpack_bits,
@@ -53,13 +51,11 @@ __all__ = [
     "__version__",
     # codec
     "RmPair",
-    "BitLayout",
     "binary_index",
     "bits_to_int",
-    "bits_to_pair",
+    "bits_to_pair_batch",
     "pair_to_bits",
     "rm_samples",
-    "pack_bits",
     "unpack_bits",
     "wht",
     # detector

@@ -3,9 +3,12 @@
 A message of B bits is split over 2**d sub-blocks that are stitched back
 together by a seeded random-parity tree code.  Each sub-block segment spends
 its first p bits on the primary slot index and (asynchronously) the next p on
-a translate whose XOR with the primary gives the secondary slot; the rest
-rides inside the Reed-Muller pair of the two transmitted copies, which differ
-only in a check bit.  draw_messages draws a frame's messages at once and
+a translate whose XOR with the primary gives the secondary slot.  Every bit
+after the slot index rides inside the Reed-Muller pair of the transmitted
+copies, at the canonical pair-bit position FrameConfig.pair_positions
+names; the two asynchronous copies differ only in a check bit.  This module
+alone decides that layout: segment_pair_bits writes it and decode_frame
+reads it back.  draw_messages draws a frame's messages at once and
 returns them as stacked arrays (information bits, segments, landed slots),
 the message half of geometry_channel.Population.  The frame decoder sweeps
 the slots of every sub-block in order, pre-cancels copies of already-found
@@ -25,13 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import slot_detector
-from .rm_codec import (
-    BitLayout,
-    RmPair,
-    binary_index,
-    bits_to_int,
-    unpack_bits,
-)
+from .rm_codec import RmPair, as_bits, binary_index, bits_to_int, unpack_bits
 from .slot_detector import DetectorConfig
 
 __all__ = [
@@ -56,6 +53,12 @@ class FrameConfig:
 
     tau_max == 0 selects the synchronous variant (single copy per sub-block,
     no check or reserved bits, and no delay estimation downstream).
+
+    Asynchronously the pair reserves b[m-1] and P[m-1, m-1] as zeros (the
+    detector reads timing off the top layer instead of data), spends b[m-2]
+    on the check bit, puts the p translate bits on the first p off-diagonal
+    positions of P in row-major upper-triangle order, and gives every other
+    position to the payload.  Synchronously every position carries data.
     """
 
     m: int
@@ -79,6 +82,11 @@ class FrameConfig:
             raise ValueError("tau_max must be nonnegative")
         if not self.synchronous and self.p < 1:
             raise ValueError("the two-copy scheme needs p >= 1 for a distinct secondary slot")
+        if not self.synchronous and self.p > self.m * (self.m - 1) // 2:
+            raise ValueError(
+                f"a {self.p}-bit translate does not fit the {self.m * (self.m - 1) // 2} "
+                f"off-diagonal positions of P at m={self.m}"
+            )
         if self.parity_bits is not None:
             object.__setattr__(self, "parity_bits", tuple(int(l) for l in self.parity_bits))
         parity = self.parity
@@ -94,7 +102,6 @@ class FrameConfig:
             )
         if self.message_bits < 1:
             raise ValueError("the configuration leaves no information bits")
-        self.layout  # constructibility check (raises on bad m/p combinations)
 
     # -- derived sizes ----------------------------------------------------
 
@@ -132,10 +139,19 @@ class FrameConfig:
     @property
     def segment_bits(self) -> int:
         """Bits conveyed per sub-block: slot index plus codeword content."""
-        pair_bits = self.m * (self.m + 3) // 2
-        if self.synchronous:
-            return pair_bits + self.p
-        return pair_bits + self.p - 3
+        return self.p + len(self.pair_positions)
+
+    @property
+    def pair_positions(self) -> np.ndarray:
+        """Entry j is the canonical pair-bit position (pair_to_bits order) of
+        segment bit p + j.  Read-only."""
+        return _pair_positions(self.m, self.p, self.synchronous)
+
+    @property
+    def check_pos(self) -> int | None:
+        """Canonical position of the copy check bit, b[m-2]; None when
+        synchronous."""
+        return None if self.synchronous else self.m - 2
 
     @property
     def info_per_subblock(self) -> tuple[int, ...]:
@@ -149,14 +165,19 @@ class FrameConfig:
     def codelength(self) -> int:
         return (1 << (self.d + self.p)) * (self.seq_len + self.prefix_len)
 
-    @property
-    def layout(self) -> BitLayout:
-        return _layout_for(self.m, self.p, self.synchronous)
-
 
 @lru_cache(maxsize=None)
-def _layout_for(m: int, p: int, synchronous: bool) -> BitLayout:
-    return BitLayout.synchronous(m, p) if synchronous else BitLayout.asynchronous(m, p)
+def _pair_positions(m: int, p: int, synchronous: bool) -> np.ndarray:
+    total = m * (m + 3) // 2
+    if synchronous:
+        positions = np.arange(total)
+    else:
+        rows, cols = np.triu_indices(m)
+        translate = (m + np.flatnonzero(rows != cols))[:p]
+        taken = np.concatenate([translate, [m - 2, m - 1, total - 1]])
+        positions = np.concatenate([translate, np.setdiff1d(np.arange(total), taken)])
+    positions.setflags(write=False)
+    return positions
 
 
 # -- tree code ------------------------------------------------------------
@@ -174,11 +195,9 @@ def tree_encode(infos: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Split each row's B info bits into 2**d segments, appending to
     sub-block j parity bits that are a seeded random binary linear map of
     all info bits of sub-blocks before j: (k, B) -> (k, 2**d, segment_bits)."""
-    infos = np.asarray(infos, dtype=np.uint8)
+    infos = as_bits(infos)
     if infos.ndim != 2 or infos.shape[1] != cfg.message_bits:
         raise ValueError(f"expected (k, {cfg.message_bits}) info bits, got {infos.shape}")
-    if infos.max(initial=0) > 1:
-        raise ValueError("info bits must be 0 or 1")
     k = infos.shape[0]
     segments = np.zeros((k, cfg.n_subblocks, cfg.segment_bits), dtype=np.uint8)
     start = 0
@@ -258,21 +277,16 @@ def tree_decode(
 
 def segment_pair_bits(segments: np.ndarray, cfg: FrameConfig, secondary: np.ndarray) -> np.ndarray:
     """Canonical pair bit strings for a stack of segments: (k, segment_bits)
-    with per-row secondary flags -> (k, m(m+3)/2)."""
-    segments = np.asarray(segments, dtype=np.uint8)
+    with per-row secondary flags -> (k, m(m+3)/2).  Segment bit p + j goes to
+    cfg.pair_positions[j] and a secondary copy sets the check bit."""
+    segments = as_bits(segments)
     secondary = np.asarray(secondary, dtype=bool)
-    layout = cfg.layout
-    k = segments.shape[0]
-    bits = np.zeros((k, layout.total_bits), dtype=np.uint8)
-    if cfg.synchronous:
-        if secondary.any():
+    bits = np.zeros((segments.shape[0], cfg.m * (cfg.m + 3) // 2), dtype=np.uint8)
+    bits[:, cfg.pair_positions] = segments[:, cfg.p :]
+    if secondary.any():
+        if cfg.check_pos is None:
             raise ValueError("the synchronous scheme sends a single copy")
-        bits[:, list(layout.payload_pos)] = segments[:, cfg.p :]
-        return bits
-    bits[:, list(layout.payload_pos)] = segments[:, 2 * cfg.p :]
-    if layout.translate_pos:
-        bits[:, list(layout.translate_pos)] = segments[:, cfg.p : 2 * cfg.p]
-    bits[:, layout.check_pos] = secondary.astype(np.uint8)
+        bits[:, cfg.check_pos] = secondary
     return bits
 
 
@@ -329,11 +343,11 @@ class FrameDecodeResult:
     candidate_counts: list[int] = field(default_factory=list)
 
 
-def _flip_check(pair: RmPair, layout: BitLayout) -> RmPair:
+def _flip_check(pair: RmPair, check_pos: int) -> RmPair:
     """The pair of a message's other copy.  The check bit is b[m-2]
-    (BitLayout.asynchronous), so only b changes and the pair stays valid."""
+    (FrameConfig.check_pos), so only b changes and the pair stays valid."""
     b = pair.b.copy()
-    b[layout.check_pos] ^= 1
+    b[check_pos] ^= 1
     return RmPair._trusted(pair.P, b)
 
 
@@ -348,16 +362,18 @@ def decode_frame(
     (2**d, 2**p, r, 2**m) indexed [sub_block, slot].
 
     Slots are swept in index order per sub-block.  Every detection is mapped
-    back to its sub-block segment (a secondary copy locates its primary slot
-    through the XOR translate); the first time a segment appears, the
-    reconstruction of its *other* copy is queued for cancellation when the
-    sweep reaches that slot.  Candidates then go through the tree decoder.
+    back to its sub-block segment through cfg.pair_positions (a secondary
+    copy locates its primary slot through the XOR translate); the first
+    time a segment appears, the reconstruction of its *other* copy is
+    queued for cancellation when the sweep reaches that slot.  Candidates
+    then go through the tree decoder.
 
     power_floor screens the reported set by estimated received power: a
     detection with ||h_hat||**2 below it is an out-of-cell device (or
     noise), so it is still cancelled, including its queued other copy, but
     not reported.  Pass gamma * r * theta to match the in-cell definition;
-    None reports everything.
+    None reports everything.  det_cfg must be the detector variant of the
+    frame: estimate_delay exactly when the frame is asynchronous.
     """
     observations = np.asarray(observations, dtype=np.complex128)
     shape = observations.shape
@@ -366,7 +382,13 @@ def decode_frame(
             f"expected observations of shape (2**d, 2**p, r, 2**m) = "
             f"({cfg.n_subblocks}, {cfg.n_slots}, r, {cfg.seq_len}), got {shape}"
         )
-    layout = cfg.layout
+    if det_cfg.estimate_delay == cfg.synchronous:
+        raise ValueError(
+            f"a detector with estimate_delay={det_cfg.estimate_delay} cannot decode a "
+            f"{'synchronous' if cfg.synchronous else 'asynchronous'} frame"
+        )
+    positions, check_pos = cfg.pair_positions, cfg.check_pos
+    n_translate = 0 if cfg.synchronous else cfg.p
     cand_segments: list[list[np.ndarray]] = []
     cand_meta: list[list[tuple[np.ndarray, float]]] = []
     for j in range(cfg.n_subblocks):
@@ -379,25 +401,19 @@ def decode_frame(
             for pair2, h2, delta2 in pending.get(i, ()):
                 Y = Y - slot_detector.reconstruct_signal(pair2, h2, delta2)
             for det in slot_detector.detect_slot(Y, det_cfg):
-                payload, translate, is_secondary = unpack_bits(det.pair, layout)
-                if cfg.synchronous:
-                    segment = np.concatenate([binary_index(i, cfg.p), payload])
-                    other = i
-                else:
-                    tr_int = bits_to_int(translate)
-                    primary = (i ^ tr_int) if is_secondary else i
-                    other = primary if is_secondary else (i ^ tr_int)
-                    segment = np.concatenate([binary_index(primary, cfg.p), translate, payload])
+                tail = unpack_bits(det.pair, positions)
+                is_secondary = check_pos is not None and bool(det.pair.b[check_pos])
+                other = i ^ bits_to_int(tail[:n_translate])
+                primary = other if is_secondary else i
+                segment = np.concatenate([binary_index(primary, cfg.p), tail])
                 key = segment.tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
-                if other != i and other > i:
+                if other > i:
                     # the same message's other copy: flip the check bit, reuse
                     # the block-static channel and delay estimates
-                    pending[other].append(
-                        (_flip_check(det.pair, layout), det.h_hat, det.delta_hat)
-                    )
+                    pending[other].append((_flip_check(det.pair, check_pos), det.h_hat, det.delta_hat))
                 if power_floor is not None:
                     power = float(np.vdot(det.h_hat, det.h_hat).real)
                     if power < power_floor:

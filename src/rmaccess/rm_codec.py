@@ -9,7 +9,9 @@ column of P.  rm_samples_batch is the one sequence builder: it runs that
 recursion layer by layer in O(2**m) per sequence, and rm_samples is its
 batch of one.  walsh_factor gives the modulating factor of one layer, wht
 is the fast Walsh-Hadamard transform the detector uses to locate its
-frequency, and the rest packs message fields into pairs and back.
+frequency, and the rest converts pairs to and from their canonical bit
+strings.  Where a message's bits sit in that string is the frame scheme's
+decision (access_pipeline.FrameConfig.pair_positions), not the codec's.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
 the least significant bit, i.e. vectors read MSB-first.  The subsequence
@@ -18,7 +20,6 @@ recursion (odd positions of X are X_half verbatim) forces this ordering.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "RmPair",
-    "BitLayout",
+    "as_bits",
     "binary_index",
     "bits_to_int",
     "rm_samples",
@@ -34,9 +35,7 @@ __all__ = [
     "walsh_factor",
     "wht",
     "pair_to_bits",
-    "bits_to_pair",
     "bits_to_pair_batch",
-    "pack_bits",
     "unpack_bits",
 ]
 
@@ -73,28 +72,39 @@ def bits_to_int(bits: np.ndarray) -> int:
     return value
 
 
+def as_bits(values) -> np.ndarray:
+    """values as a uint8 array, rejecting any entry other than 0 and 1.
+
+    The check comes before the cast: uint8 would wrap 256 to 0 and truncate
+    0.5 to 0.
+    """
+    arr = np.asarray(values)
+    if (arr.astype(bool) != arr).any():
+        raise ValueError("bit entries must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class RmPair:
     """Matrix-vector identity of a second-order Reed-Muller sequence.
 
     P is symmetric binary m x m, b is binary length m.  Together they carry
     m(m+3)/2 bits.  A pair used for transmission in the asynchronous scheme
-    additionally has b[m-1] = P[m-1, m-1] = 0 (enforced by BitLayout, not
-    here; the detector relies on it to read timing off the top layer).
+    additionally has b[m-1] = P[m-1, m-1] = 0 (no message bit is placed
+    there, see access_pipeline.FrameConfig.pair_positions; the detector
+    relies on it to read timing off the top layer).
     """
 
     P: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        P = np.ascontiguousarray(np.asarray(self.P, dtype=np.uint8))
-        b = np.ascontiguousarray(np.asarray(self.b, dtype=np.uint8))
+        P = np.ascontiguousarray(as_bits(self.P))
+        b = np.ascontiguousarray(as_bits(self.b))
         if b.ndim != 1 or b.size < 1:
             raise ValueError("b must be a nonempty vector")
         if P.shape != (b.size, b.size):
             raise ValueError(f"P must be {b.size} x {b.size}, got {P.shape}")
-        if P.max(initial=0) > 1 or b.max(initial=0) > 1:
-            raise ValueError("P and b entries must be 0 or 1")
         if not np.array_equal(P, P.T):
             raise ValueError("P must be symmetric")
         P.setflags(write=False)
@@ -178,12 +188,10 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     k, m = bs.shape
     if m < 1 or Ps.shape[1:] != (m, m):
         raise ValueError(f"expected nonempty b rows and {m} x {m} P matrices, got {Ps.shape[1:]}")
-    if (Ps.astype(bool) != Ps).any() or (bs.astype(bool) != bs).any():
-        raise ValueError("P and b entries must be 0 or 1")
+    Ps, bs = as_bits(Ps), as_bits(bs)
     if (Ps != Ps.transpose(0, 2, 1)).any():
         raise ValueError("P must be symmetric")
-    Ps = Ps.astype(np.uint8)
-    shifts = (2 * bs.astype(np.uint8) + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
+    shifts = (2 * bs + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
     etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))[:, :, None]
     # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
     # mod 4 waits for the last layer; layer 1 is [0, shift]
@@ -274,18 +282,9 @@ def _order_from_total(total: int) -> int:
     return m
 
 
-def bits_to_pair(bits: np.ndarray) -> RmPair:
-    """Inverse of pair_to_bits: bits_to_pair_batch of the one row."""
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ValueError("expected a 1-D bit vector")
-    Ps, bs = bits_to_pair_batch(bits[None])
-    return RmPair(Ps[0], bs[0])
-
-
 def bits_to_pair_batch(bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched bits_to_pair on rows: (k, m(m+3)/2) -> Ps (k, m, m), bs (k, m)."""
-    bit_matrix = np.asarray(bit_matrix, dtype=np.uint8)
+    """Inverse of pair_to_bits on rows: (k, m(m+3)/2) -> Ps (k, m, m), bs (k, m)."""
+    bit_matrix = as_bits(bit_matrix)
     if bit_matrix.ndim != 2:
         raise ValueError("expected a 2-D bit matrix")
     m = _order_from_total(bit_matrix.shape[1])
@@ -297,122 +296,6 @@ def bits_to_pair_batch(bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Ps, bs
 
 
-@dataclass(frozen=True)
-class BitLayout:
-    """Fixed placement of message fields inside a pair's canonical bit string.
-
-    Positions index the canonical order of pair_to_bits.  The asynchronous
-    layout reserves b[m-1] and P[m-1, m-1] as zeros (the detector reads
-    timing off the top layer instead of data), spends b[m-2] on the copy
-    check bit, puts the p translate bits on the first p off-diagonal
-    positions of P in row-major upper-triangle order, and leaves everything
-    else to payload.  The synchronous layout has no reserved or check bits
-    and every position is payload.  The placement itself is a convention;
-    encoder and decoder only need to agree on it.
-    """
-
-    m: int
-    p: int
-    check_pos: int | None
-    reserved_pos: tuple[int, ...]
-    translate_pos: tuple[int, ...]
-    payload_pos: tuple[int, ...]
-
-    @property
-    def total_bits(self) -> int:
-        return self.m * (self.m + 3) // 2
-
-    @property
-    def payload_size(self) -> int:
-        return len(self.payload_pos)
-
-    @classmethod
-    def asynchronous(cls, m: int, p: int) -> "BitLayout":
-        m = int(m)
-        p = int(p)
-        if m < 2:
-            raise ValueError("asynchronous layout needs m >= 2")
-        total = m * (m + 3) // 2
-        if not 0 <= p <= m * (m - 1) // 2:
-            raise ValueError(
-                f"translate field of {p} bits does not fit the {m*(m-1)//2} "
-                f"off-diagonal positions at m={m}"
-            )
-        if p > total - 3:
-            raise ValueError(f"p={p} exceeds the {total - 3} free bits at m={m}")
-        rows, cols = _triu_coords(m)
-        off_diag = [m + t for t in range(rows.size) if rows[t] != cols[t]]
-        translate = tuple(off_diag[:p])
-        reserved = (m - 1, total - 1)
-        check = m - 2
-        taken = set(translate) | set(reserved) | {check}
-        payload = tuple(q for q in range(total) if q not in taken)
-        return cls(m, p, check, reserved, translate, payload)
-
-    @classmethod
-    def synchronous(cls, m: int, p: int) -> "BitLayout":
-        m = int(m)
-        p = int(p)
-        if m < 2:
-            raise ValueError("layout needs m >= 2")
-        if p < 0:
-            raise ValueError("p must be nonnegative")
-        total = m * (m + 3) // 2
-        return cls(m, p, None, (), (), tuple(range(total)))
-
-
-def pack_bits(
-    payload: np.ndarray,
-    translate: np.ndarray,
-    is_secondary: bool,
-    layout: BitLayout,
-) -> RmPair:
-    """Build the transmit pair for one copy of a message.
-
-    payload fills the layout's payload positions, translate its translate
-    positions, the check bit records which copy this is, and reserved
-    positions stay zero.  The two copies of a message differ in exactly the
-    check-bit position.
-    """
-    payload = np.asarray(payload, dtype=np.uint8)
-    translate = np.asarray(translate, dtype=np.uint8)
-    if payload.shape != (len(layout.payload_pos),):
-        raise ValueError(
-            f"payload must have {len(layout.payload_pos)} bits, got {payload.shape}"
-        )
-    if translate.shape != (len(layout.translate_pos),):
-        raise ValueError(
-            f"translate must have {len(layout.translate_pos)} bits, got {translate.shape}"
-        )
-    if payload.max(initial=0) > 1 or translate.max(initial=0) > 1:
-        raise ValueError("payload and translate entries must be 0 or 1")
-    bits = np.zeros(layout.total_bits, dtype=np.uint8)
-    if layout.payload_pos:
-        bits[list(layout.payload_pos)] = payload
-    if layout.translate_pos:
-        bits[list(layout.translate_pos)] = translate
-    if is_secondary:
-        if layout.check_pos is None:
-            raise ValueError("this layout has no check bit; only one copy exists")
-        bits[layout.check_pos] = 1
-    return bits_to_pair(bits)
-
-
-def unpack_bits(pair: RmPair, layout: BitLayout) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Read (payload, translate, is_secondary) back out of a pair.
-
-    Nonzero reserved bits cannot come from pack_bits; they are reported with
-    a warning rather than an error because a detector estimate may contain
-    them and the caller decides what to do with the rest of the fields.
-    """
-    if pair.m != layout.m:
-        raise ValueError(f"pair order {pair.m} does not match layout order {layout.m}")
-    bits = pair_to_bits(pair)
-    if layout.reserved_pos and bits[list(layout.reserved_pos)].any():
-        warnings.warn("reserved bits are nonzero; not a valid transmit pair", stacklevel=2)
-    payload = bits[list(layout.payload_pos)].copy() if layout.payload_pos else np.zeros(0, np.uint8)
-    translate = (
-        bits[list(layout.translate_pos)].copy() if layout.translate_pos else np.zeros(0, np.uint8)
-    )
-    is_secondary = bool(bits[layout.check_pos]) if layout.check_pos is not None else False
-    return payload, translate, is_secondary
+def unpack_bits(pair: RmPair, positions: np.ndarray) -> np.ndarray:
+    """The pair's canonical bits at the given positions, in their order."""
+    return pair_to_bits(pair)[positions]

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .access_pipeline import FrameConfig, decode_frame, error_metrics
+from .access_pipeline import FrameConfig, decode_frame, error_metrics, segment_pair_bits
 from .geometry_channel import (
     GeometryConfig,
     classify_neighbors,
@@ -43,7 +43,7 @@ from .geometry_channel import (
     sample_frame,
     synthesize_slot,
 )
-from .rm_codec import BitLayout, pack_bits, rm_samples
+from .rm_codec import bits_to_pair_batch, rm_samples_batch
 from .slot_detector import DetectorConfig, detect_slot
 
 __all__ = [
@@ -68,14 +68,19 @@ def calibrated_epsilon(frame: FrameConfig, geo: GeometryConfig) -> float:
 
         eps**2 = r N  +  copies * sigma2 * N / 2**p,
 
-    so the per-slot loop stops at that floor.  The closed-form default
-    carried by DetectorConfig.from_operating_point drifts below this floor
-    as antennas grow (the two agree at r=1), which makes the loop mistake
-    interference for undetected devices and spend its iteration budget on
-    them; its source calls the choice an open question and suggests tuning
-    for the regime of interest, which is what this rule is.  The harness
-    pairs it with the received-power screen in decode_frame, which keeps
-    sub-threshold devices dug up near the floor out of the reported set.
+    so the per-slot loop stops at that floor.  The detector's source
+    proposes the closed form
+
+        eps = sqrt(22 K**(-1/3) r**(-1/4) (sigma2 + r 2**m)) - d + 3(m - p)
+
+    for K active devices, which drifts below this floor as antennas grow
+    (the two agree at r=1): the loop then mistakes interference for
+    undetected devices and spends its iteration budget on them.  The source
+    calls the choice an open question and suggests tuning for the regime of
+    interest, which is what this rule is, so the closed form is not used.
+    The harness pairs it with the received-power screen in decode_frame,
+    which keeps sub-threshold devices dug up near the floor out of the
+    reported set.
     """
     n = frame.seq_len
     noise = geo.r * n
@@ -162,24 +167,20 @@ class ExperimentSpec:
         )
 
     def detector_for(self, point: dict) -> DetectorConfig:
+        """eps and k_max default to calibrated_epsilon and to
+        ceil(6 K_star / 2**p * r**(1/4)) iterations, at least one, with
+        K_star the expected neighbor count."""
         geo = self.geometry_for(point)
-        cfg = DetectorConfig.from_operating_point(
-            n_active=point["K"],
-            r=point["r"],
-            m=point["m"],
-            p=point["p"],
-            d=point["d"],
-            interference=interference_power(geo),
-            neighbors=expected_neighbors(geo),
+        eps = calibrated_epsilon(self.frame_for(point), geo) if self.eps is None else float(self.eps)
+        neighbors = expected_neighbors(geo)
+        k_max = max(1, math.ceil(6.0 * neighbors / 2 ** point["p"] * point["r"] ** 0.25))
+        return DetectorConfig(
+            k_max=k_max if self.k_max is None else int(self.k_max),
+            eps=eps,
             refine_window=self.refine_window,
             refine_resolution=self.refine_resolution,
             estimate_delay=self.tau_max > 0,
         )
-        eps = calibrated_epsilon(self.frame_for(point), geo) if self.eps is None else float(self.eps)
-        cfg = dataclasses.replace(cfg, eps=eps)
-        if self.k_max is not None:
-            cfg = dataclasses.replace(cfg, k_max=int(self.k_max))
-        return cfg
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentSpec":
@@ -422,15 +423,16 @@ def scaling_bench(
     cfg = DetectorConfig(k_max=2, eps=0.0)
     slots, results = [], []
     for m in m_values:
-        layout = BitLayout.asynchronous(int(m), 1)
-        X, h, delta = [], [], []
+        frame = FrameConfig(int(m), p=1)
+        segments, h, delta = [], [], []
         for scale in (2.0, 1.0):
-            payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-            pair = pack_bits(payload, np.ones(1, np.uint8), False, layout)
-            X.append(rm_samples(pair.P, pair.b))
+            payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
+            segments.append(np.concatenate([[0, 1], payload]))  # slot 0, translate 1
             h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=r)))
             delta.append(rng.uniform(-math.pi, math.pi))
-        slots.append(synthesize_slot(np.stack(X), np.stack(h), np.array(delta), gamma=1.0))
+        bits = segment_pair_bits(np.stack(segments), frame, np.zeros(2, dtype=bool))
+        X = rm_samples_batch(*bits_to_pair_batch(bits))
+        slots.append(synthesize_slot(X, np.stack(h), np.array(delta), gamma=1.0))
         model = cfg.k_max * (2.0**m) * (4 * r + m + 2)
         results.append({"m": int(m), "r": int(r), "seconds": math.inf, "model": model})
     for _ in range(max(1, reps)):

@@ -76,45 +76,6 @@ class DetectorConfig:
         if not (math.isfinite(self.refine_window) and self.refine_window >= 0):
             raise ValueError("refine_window must be finite and nonnegative")
 
-    @classmethod
-    def from_operating_point(
-        cls,
-        *,
-        n_active: float,
-        r: int,
-        m: int,
-        p: int,
-        d: int = 0,
-        interference: float,
-        neighbors: float,
-        refine_window: float = 0.1,
-        refine_resolution: float = 1e-4,
-        estimate_delay: bool = True,
-    ) -> "DetectorConfig":
-        """Default stopping rule for a frame with n_active devices total.
-
-        eps = sqrt(22 * K^(-1/3) * r^(-1/4) * (sigma2 + r 2^m)) - d + 3(m - p)
-        with sigma2 the out-of-cell interference power and K = n_active;
-        k_max = ceil(6 * K_star / 2^p * r^(1/4)) with K_star the expected
-        neighbor count, floored at one iteration.
-        """
-        if n_active > 0:
-            eps = float(
-                math.sqrt(22.0 * n_active ** (-1.0 / 3.0) * r ** (-0.25) * (interference + r * 2**m))
-                - d
-                + 3 * (m - p)
-            )
-        else:
-            eps = math.inf
-        k_max = max(1, math.ceil(6.0 * neighbors / 2**p * r**0.25))
-        return cls(
-            k_max=k_max,
-            eps=eps,
-            refine_window=refine_window,
-            refine_resolution=refine_resolution,
-            estimate_delay=estimate_delay,
-        )
-
 
 @dataclass(frozen=True)
 class Detection:

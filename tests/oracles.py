@@ -1,13 +1,15 @@
 """Slow reference implementations the tests check the package against: the
 Reed-Muller quadratic form evaluated over a table of bit vectors, the Walsh
 factor from its definition, the Walsh-Hadamard transform as radix-2
-butterflies, and the noise-free slot built through the time domain."""
+butterflies, the noise-free slot built through the time domain, and the
+segment layout written out field by field with a one-pair encoder on it."""
 
 import math
 
 import numpy as np
 
 from rmaccess.geometry_channel import _check_stack
+from rmaccess.rm_codec import RmPair
 
 IOTA_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -94,3 +96,64 @@ def time_domain_reference(
     retained = math.sqrt(gamma) * np.einsum("kl,ku->lu", h, waves)[:, m_cp:]
     kernel = np.exp(-2j * math.pi * np.outer(n_idx, u[m_cp:]) / n) / n
     return retained @ kernel.T
+
+
+def async_layout(m, p):
+    """Canonical pair-bit positions of the asynchronous segment fields:
+    (check, reserved, translate, payload).
+
+    b[m-1] and P[m-1, m-1] are reserved zeros, b[m-2] is the copy check
+    bit, the p translate bits take the first p off-diagonal positions of P
+    in row-major upper-triangle order, and the payload takes everything
+    else in ascending order.
+    """
+    m = int(m)
+    p = int(p)
+    if m < 2:
+        raise ValueError("asynchronous layout needs m >= 2")
+    total = m * (m + 3) // 2
+    if not 0 <= p <= m * (m - 1) // 2:
+        raise ValueError(f"a {p}-bit translate does not fit at m={m}")
+    rows, cols = np.triu_indices(m)
+    off_diag = [m + t for t in range(rows.size) if rows[t] != cols[t]]
+    translate = tuple(off_diag[:p])
+    reserved = (m - 1, total - 1)
+    check = m - 2
+    taken = set(translate) | set(reserved) | {check}
+    payload = tuple(q for q in range(total) if q not in taken)
+    return check, reserved, translate, payload
+
+
+def pair_from_bits(bits):
+    """The pair of a canonical bit string, entry by entry: b first, then the
+    upper triangle of P (diagonal included) row by row."""
+    bits = [int(x) for x in bits]
+    m = 1
+    while m * (m + 3) // 2 < len(bits):
+        m += 1
+    assert m * (m + 3) // 2 == len(bits), "not a canonical bit-string length"
+    P = np.zeros((m, m), dtype=np.uint8)
+    rest = iter(bits[m:])
+    for i in range(m):
+        for j in range(i, m):
+            P[i, j] = P[j, i] = next(rest)
+    return RmPair(P, np.array(bits[:m], dtype=np.uint8))
+
+
+def segment_pair(segment, frame, secondary=False):
+    """Transmit pair of one copy of one sub-block segment, placed field by
+    field: the reference for access_pipeline.segment_pair_bits.  The first
+    p segment bits are the slot index and stay off the air."""
+    m, p = frame.m, frame.p
+    segment = np.asarray(segment, dtype=np.uint8)
+    assert segment.shape == (frame.segment_bits,)
+    bits = np.zeros(m * (m + 3) // 2, dtype=np.uint8)
+    if frame.synchronous:
+        assert not secondary, "the synchronous scheme sends a single copy"
+        bits[:] = segment[p:]
+    else:
+        check, _, translate, payload = async_layout(m, p)
+        bits[list(translate)] = segment[p : 2 * p]
+        bits[list(payload)] = segment[2 * p :]
+        bits[check] = secondary
+    return pair_from_bits(bits)

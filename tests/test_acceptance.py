@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import time_domain_reference
-from rmaccess.access_pipeline import FrameConfig, tree_decode, tree_encode
+from oracles import async_layout, pair_from_bits, segment_pair, time_domain_reference
+from rmaccess.access_pipeline import FrameConfig, segment_pair_bits, tree_decode, tree_encode
 from rmaccess.geometry_channel import (
     GeometryConfig,
     classify_neighbors,
@@ -23,11 +23,9 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
 )
 from rmaccess.rm_codec import (
-    BitLayout,
     RmPair,
     binary_index,
-    bits_to_pair,
-    pack_bits,
+    bits_to_pair_batch,
     rm_samples,
     unpack_bits,
     walsh_factor,
@@ -74,7 +72,7 @@ def test_criterion_2_frequency_vs_time_domain(criterion_report):
         gamma = (0.5, 1.0, 2.0, 4.0)[scene % 4]
         X, h, tau = [], [], []
         for _ in range(int(rng.integers(1, 7))):
-            pair = bits_to_pair(rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8))
+            pair = pair_from_bits(rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8))
             X.append(rm_samples(pair.P, pair.b))
             h.append(rng.standard_normal(r) + 1j * rng.standard_normal(r))
             tau.append(rng.uniform(0.0, tau_max))
@@ -115,40 +113,34 @@ def test_criterion_3_codec_properties(criterion_report):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             invol_ok &= np.linalg.norm(wht(wht(x)) / n - x) <= 1e-12 * np.linalg.norm(x)
 
-    # pack/unpack bijectivity, exhaustive at m=4 for both layouts
-    layout = BitLayout.asynchronous(4, 2)
-    keys = set()
+    # pack/unpack bijectivity through the batch encoder, exhaustive at m=4
+    # for both variants: every segment tail (the bits after the slot index)
+    # and copy flag
     packing_ok = True
-    for payload_val in range(1 << layout.payload_size):
-        payload = binary_index(payload_val, layout.payload_size)
-        for tr_val in range(4):
-            translate = binary_index(tr_val, 2)
-            for sec in (False, True):
-                pair = pack_bits(payload, translate, sec, layout)
+    total = 4 * 7 // 2
+    for frame in (FrameConfig(4, 2), FrameConfig(4, 2, tau_max=0.0)):
+        n_tail = frame.segment_bits - frame.p
+        tails = np.array([binary_index(v, n_tail) for v in range(1 << n_tail)])
+        segments = np.concatenate([np.zeros((len(tails), frame.p), np.uint8), tails], axis=1)
+        keys = set()
+        for sec in (False, True)[: frame.copies]:
+            bits = segment_pair_bits(segments, frame, np.full(len(tails), sec))
+            for tail, P, b in zip(tails, *bits_to_pair_batch(bits)):
+                pair = RmPair(P, b)
                 keys.add(pair.key())
-                back = unpack_bits(pair, layout)
-                packing_ok &= (
-                    np.array_equal(back[0], payload)
-                    and np.array_equal(back[1], translate)
-                    and back[2] == sec
-                )
-    # the image is exactly the set of pairs whose reserved bits are zero
-    expect_keys = set()
-    for val in range(1 << layout.total_bits):
-        bits = binary_index(val, layout.total_bits)
-        if bits[list(layout.reserved_pos)].any():
+                packing_ok &= np.array_equal(unpack_bits(pair, frame.pair_positions), tail)
+                packing_ok &= frame.synchronous or bool(pair.b[frame.check_pos]) == sec
+        if frame.synchronous:
+            packing_ok &= len(keys) == 1 << total
             continue
-        expect_keys.add(bits_to_pair(bits).key())
-    packing_ok &= keys == expect_keys and len(keys) == 1 << (layout.total_bits - 2)
-
-    sync = BitLayout.synchronous(4, 2)
-    sync_keys = set()
-    for val in range(1 << sync.payload_size):
-        payload = binary_index(val, sync.payload_size)
-        pair = pack_bits(payload, np.zeros(0, np.uint8), False, sync)
-        sync_keys.add(pair.key())
-        packing_ok &= np.array_equal(unpack_bits(pair, sync)[0], payload)
-    packing_ok &= len(sync_keys) == 1 << sync.payload_size
+        # the image is exactly the set of pairs whose reserved bits are zero
+        reserved = list(async_layout(4, 2)[1])
+        expect_keys = {
+            pair_from_bits(bits).key()
+            for bits in (binary_index(val, total) for val in range(1 << total))
+            if not bits[reserved].any()
+        }
+        packing_ok &= keys == expect_keys and len(keys) == 1 << (total - 2)
 
     ok = identity_ok and invol_ok and packing_ok
     line = (
@@ -168,11 +160,11 @@ def test_criterion_4_noiseless_round_trip(criterion_report):
     cfg = DetectorConfig(k_max=1, eps=1e-9)
     gamma = 2.0
     for m in range(4, 11):
-        layout = BitLayout.asynchronous(m, 1)
+        frame = FrameConfig(m, 1)
         for k in range(64):
             delta = -math.pi + (k + 0.5) * 2.0 * math.pi / 64.0
-            payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-            pair = pack_bits(payload, np.ones(1, np.uint8), False, layout)
+            payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
+            pair = segment_pair(np.concatenate([[0, 1], payload]), frame)
             h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             Y = synthesize_slot(rm_samples(pair.P, pair.b)[None], h[None], [delta], gamma)
             det = detect_slot(Y, cfg)[0]

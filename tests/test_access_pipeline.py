@@ -5,6 +5,7 @@ scenes."""
 import numpy as np
 import pytest
 
+from oracles import segment_pair
 from rmaccess.access_pipeline import (
     FrameConfig,
     decode_frame,
@@ -23,8 +24,7 @@ from rmaccess.geometry_channel import (
 from rmaccess.rm_codec import (
     RmPair,
     bits_to_int,
-    bits_to_pair,
-    pack_bits,
+    bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
     unpack_bits,
@@ -149,28 +149,42 @@ def test_tree_decode_dedup_and_overflow():
     np.testing.assert_array_equal(capped.messages[0], info)
 
 
-def segment_pair(segment: np.ndarray, cfg: FrameConfig, secondary: bool) -> RmPair:
-    """Transmit pair of one copy of one sub-block segment, through the
-    single-pair encoder: the reference for segment_pair_bits."""
-    segment = np.asarray(segment, dtype=np.uint8)
-    assert segment.shape == (cfg.segment_bits,)
-    if cfg.synchronous:
-        assert not secondary
-        return pack_bits(segment[cfg.p :], np.zeros(0, np.uint8), False, cfg.layout)
-    return pack_bits(segment[2 * cfg.p :], segment[cfg.p : 2 * cfg.p], secondary, cfg.layout)
-
-
 def test_segment_pair_copies():
     cfg = FrameConfig(m=5, p=2)
     rng = np.random.default_rng(64)
     seg = rng.integers(0, 2, size=cfg.segment_bits, dtype=np.uint8)
     seg[2:4] = [1, 0]  # nonzero translate
     bits_p, bits_s = segment_pair_bits(np.stack([seg, seg]), cfg, np.array([False, True]))
-    assert np.flatnonzero(bits_p != bits_s).tolist() == [cfg.layout.check_pos]
-    payload, translate, is_sec = unpack_bits(bits_to_pair(bits_s), cfg.layout)
-    np.testing.assert_array_equal(payload, seg[2 * cfg.p :])
-    np.testing.assert_array_equal(translate, seg[cfg.p : 2 * cfg.p])
-    assert is_sec
+    assert np.flatnonzero(bits_p != bits_s).tolist() == [cfg.check_pos]
+    Ps, bs = bits_to_pair_batch(bits_s[None])
+    pair = RmPair(Ps[0], bs[0])
+    tail = unpack_bits(pair, cfg.pair_positions)
+    np.testing.assert_array_equal(tail[: cfg.p], seg[cfg.p : 2 * cfg.p])  # translate
+    np.testing.assert_array_equal(tail[cfg.p :], seg[2 * cfg.p :])  # payload
+    assert pair.b[cfg.check_pos] == 1
+
+
+@pytest.mark.parametrize("bad", [256, -1, 0.5, 2])
+def test_bit_inputs_reject_out_of_range_values(bad):
+    """Every entry point that takes raw bits checks them before the uint8
+    cast, which would wrap 256 to 0 and -1 to 255 and truncate 0.5."""
+    cfg = FrameConfig(m=4, p=2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        RmPair(np.array([[bad]]), [0])
+    with pytest.raises(ValueError, match="0 or 1"):
+        RmPair([[0]], np.array([bad]))
+    infos = np.zeros((1, cfg.message_bits))
+    infos[0, 3] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        tree_encode(infos, cfg)
+    segments = np.zeros((1, cfg.segment_bits))
+    segments[0, -1] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        segment_pair_bits(segments, cfg, np.array([False]))
+    bits = np.zeros((1, 14))
+    bits[0, 0] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        bits_to_pair_batch(bits)
 
 
 def test_segment_pair_bits_matches_single():
@@ -179,6 +193,7 @@ def test_segment_pair_bits_matches_single():
     segs = rng.integers(0, 2, size=(10, cfg.segment_bits), dtype=np.uint8)
     flags = rng.integers(0, 2, size=10).astype(bool)
     batch = segment_pair_bits(segs, cfg, flags)
+    assert batch.dtype == np.uint8
     for k in range(10):
         expect = pair_to_bits(segment_pair(segs[k], cfg, bool(flags[k])))
         np.testing.assert_array_equal(batch[k], expect)
@@ -346,6 +361,18 @@ def test_decode_frame_synchronous():
     assert {m.tobytes() for m in out.messages} == {m[0].tobytes() for m in msgs}
     for delays in out.delays:
         assert not delays.any()
+
+
+def test_decode_frame_rejects_mismatched_detector_variant():
+    # a delay-estimating detector forces the top layer to zero and a
+    # synchronous one reads it as data, so neither can decode the other's frame
+    for frame in (FrameConfig(m=4, p=2), FrameConfig(m=4, p=2, tau_max=0.0)):
+        grid = np.zeros((1, 4, 2, 16))
+        right = DetectorConfig(k_max=1, eps=1.0, estimate_delay=not frame.synchronous)
+        decode_frame(grid, right, frame)
+        wrong = DetectorConfig(k_max=1, eps=1.0, estimate_delay=frame.synchronous)
+        with pytest.raises(ValueError, match="estimate_delay"):
+            decode_frame(grid, wrong, frame)
 
 
 def test_decode_frame_shape_validation():

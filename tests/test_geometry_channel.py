@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
-from oracles import time_domain_reference
-from rmaccess.access_pipeline import FrameConfig, draw_messages
+from oracles import segment_pair, time_domain_reference
+from rmaccess.access_pipeline import FrameConfig, draw_messages, segment_pair_bits
 from rmaccess.geometry_channel import (
     GeometryConfig,
     Population,
@@ -22,14 +22,7 @@ from rmaccess.geometry_channel import (
     sample_frame,
     synthesize_slot,
 )
-from rmaccess.rm_codec import (
-    bits_to_pair,
-    bits_to_pair_batch,
-    pack_bits,
-    rm_samples,
-    rm_samples_batch,
-)
-from rmaccess.access_pipeline import segment_pair_bits
+from rmaccess.rm_codec import bits_to_pair_batch, rm_samples, rm_samples_batch
 
 # the standard operating geometry: 4000 devices per km^2, 60 dB power
 GEO_R1 = GeometryConfig(density=0.004, area=250_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=1)
@@ -226,7 +219,7 @@ def test_frame_observations_rejects_mismatched_plan():
 def _random_codewords(rng, m, k):
     """k random sequences of order m as a (k, 2**m) stack."""
     bits = rng.integers(0, 2, size=(k, m * (m + 3) // 2), dtype=np.uint8)
-    return np.stack([rm_samples(pair.P, pair.b) for pair in map(bits_to_pair, bits)])
+    return rm_samples_batch(*bits_to_pair_batch(bits))
 
 
 def test_synthesize_slot_matches_pointwise_formula():
@@ -271,12 +264,12 @@ def test_frame_observations_returns_read_only_array():
 
 def test_frame_observations_matches_manual_superposition():
     """The batched grid builder agrees with a per-device, per-copy loop
-    through the single-pair encoder."""
+    through the field-by-field encoder."""
     frame = FrameConfig(m=4, p=2, d=1)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=3.0, r=2)
     pop = _random_population(frame, np.random.default_rng(42), 4, geo.r)
     got = frame_observations(pop, frame, geo, noise_on=False)
-    n, p = frame.seq_len, frame.p
+    n = frame.seq_len
     ramp_base = np.arange(1, n + 1)
     expected = np.zeros((frame.n_subblocks, frame.n_slots, geo.r, n), dtype=complex)
     for k in range(len(pop)):
@@ -284,7 +277,7 @@ def test_frame_observations_matches_manual_superposition():
         for j in range(frame.n_subblocks):
             seg = pop.segments[k, j]
             for c in range(frame.copies):
-                pair = pack_bits(seg[2 * p :], seg[p : 2 * p], c == 1, frame.layout)
+                pair = segment_pair(seg, frame, c == 1)
                 X = rm_samples(pair.P, pair.b)
                 slot = int(pop.slots[k, j, c])
                 expected[j, slot] += math.sqrt(geo.gamma) * np.outer(pop.h[k], X * ramp)

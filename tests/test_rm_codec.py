@@ -1,6 +1,7 @@
 """Sequence codec unit tests: sample generation against a brute-force
 reference, the half-length layer structure, the transform, and the bit
-packing conventions."""
+packing conventions: canonical bit strings, and the segment layout of
+access_pipeline.FrameConfig against the field-by-field oracle."""
 
 import numpy as np
 import pytest
@@ -8,14 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
 from rmaccess.rm_codec import (
-    BitLayout,
     RmPair,
     binary_index,
     bits_to_int,
-    bits_to_pair,
     bits_to_pair_batch,
-    pack_bits,
     pair_to_bits,
     rm_samples,
     rm_samples_batch,
@@ -23,7 +22,13 @@ from rmaccess.rm_codec import (
     walsh_factor,
     wht,
 )
-from oracles import bit_table_walsh_factor, einsum_samples_batch, radix2_wht
+from oracles import (
+    async_layout,
+    bit_table_walsh_factor,
+    einsum_samples_batch,
+    pair_from_bits,
+    radix2_wht,
+)
 
 
 def reference_samples(P, b):
@@ -277,6 +282,12 @@ def test_walsh_factor_transform_peak():
         assert abs(t[idx] - (1 << width)) < 1e-12
 
 
+def one_pair(bits):
+    """bits_to_pair_batch of one canonical bit string, as a pair."""
+    Ps, bs = bits_to_pair_batch(np.asarray(bits)[None])
+    return RmPair(Ps[0], bs[0])
+
+
 def test_pair_bits_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -284,27 +295,30 @@ def test_pair_bits_round_trip():
         pair = random_pair(rng, m)
         bits = pair_to_bits(pair)
         assert bits.size == m * (m + 3) // 2
-        assert bits_to_pair(bits) == pair
+        assert one_pair(bits) == pair
     # and the other direction, bits first
     for _ in range(100):
         m = int(rng.integers(1, 8))
         bits = rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8)
-        np.testing.assert_array_equal(pair_to_bits(bits_to_pair(bits)), bits)
+        np.testing.assert_array_equal(pair_to_bits(one_pair(bits)), bits)
 
 
 def test_bits_to_pair_batch_matches_single():
+    # every row against the entry-by-entry oracle
     rng = np.random.default_rng(10)
     mat = rng.integers(0, 2, size=(15, 5 * 8 // 2), dtype=np.uint8)
     Ps, bs = bits_to_pair_batch(mat)
     for k in range(15):
-        single = bits_to_pair(mat[k])
+        single = pair_from_bits(mat[k])
         np.testing.assert_array_equal(Ps[k], single.P)
         np.testing.assert_array_equal(bs[k], single.b)
 
 
 def test_bits_to_pair_rejects_bad_length():
     with pytest.raises(ValueError):
-        bits_to_pair(np.zeros(6, dtype=np.uint8))  # no m solves m(m+3)/2 = 6
+        bits_to_pair_batch(np.zeros((1, 6), dtype=np.uint8))  # no m solves m(m+3)/2 = 6
+    with pytest.raises(ValueError):
+        bits_to_pair_batch(np.zeros(5, dtype=np.uint8))  # a vector, not rows
 
 
 def test_pair_validation():
@@ -317,88 +331,105 @@ def test_pair_validation():
 
 
 def test_async_layout_partitions_all_positions():
-    for m, p in ((2, 1), (4, 2), (6, 6), (8, 3)):
-        layout = BitLayout.asynchronous(m, p)
+    """The position table equals the field-by-field rule for every valid p
+    at m = 2..14, and with the check bit and the two reserved zeros it
+    covers every canonical position exactly once."""
+    for m in range(2, 15):
         total = m * (m + 3) // 2
-        groups = [layout.reserved_pos, (layout.check_pos,), layout.translate_pos, layout.payload_pos]
-        flat = [q for g in groups for q in g]
-        assert sorted(flat) == list(range(total))
-        assert layout.reserved_pos == (m - 1, total - 1)
-        assert layout.check_pos == m - 2
-        assert len(layout.translate_pos) == p
-        assert layout.payload_size == total - 3 - p
+        for p in range(1, m * (m - 1) // 2 + 1):
+            frame = FrameConfig(m, p)
+            check, reserved, translate, payload = async_layout(m, p)
+            assert frame.pair_positions.tolist() == list(translate + payload)
+            assert frame.check_pos == check == m - 2
+            assert reserved == (m - 1, total - 1)
+            flat = frame.pair_positions.tolist() + [frame.check_pos, *reserved]
+            assert sorted(flat) == list(range(total))
+            assert frame.segment_bits == p + len(frame.pair_positions) == p + total - 3
 
 
 def test_sync_layout_is_all_payload():
-    layout = BitLayout.synchronous(6, 2)
-    assert layout.check_pos is None
-    assert layout.reserved_pos == ()
-    assert layout.translate_pos == ()
-    assert layout.payload_pos == tuple(range(27))
+    for m in range(2, 15):
+        total = m * (m + 3) // 2
+        for p in range(0, m * (m - 1) // 2 + 1):
+            frame = FrameConfig(m, p, tau_max=0.0)
+            assert frame.check_pos is None
+            assert frame.pair_positions.tolist() == list(range(total))
+            assert frame.segment_bits == p + total
+    with pytest.raises(ValueError):
+        FrameConfig(6, 2).pair_positions[0] = 1  # the cached table is read-only
 
 
 def test_layout_rejects_oversized_translate():
-    with pytest.raises(ValueError):
-        BitLayout.asynchronous(3, 4)  # only 3 off-diagonal slots at m=3
+    with pytest.raises(ValueError, match="off-diagonal"):
+        FrameConfig(3, 4)  # only 3 off-diagonal slots at m=3
+    assert FrameConfig(3, 3).segment_bits == 9
+    assert FrameConfig(3, 4, tau_max=0.0).segment_bits == 13  # no translate to place
 
 
-def test_pack_unpack_round_trip():
-    rng = np.random.default_rng(11)
-    layout = BitLayout.asynchronous(6, 3)
-    for _ in range(50):
-        payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-        translate = rng.integers(0, 2, size=3, dtype=np.uint8)
-        secondary = bool(rng.integers(0, 2))
-        pair = pack_bits(payload, translate, secondary, layout)
-        got_payload, got_translate, got_secondary = unpack_bits(pair, layout)
-        np.testing.assert_array_equal(got_payload, payload)
-        np.testing.assert_array_equal(got_translate, translate)
-        assert got_secondary == secondary
+@st.composite
+def frames_and_segments(draw):
+    synchronous = draw(st.booleans())
+    m = draw(st.integers(2, 8))
+    p = draw(st.integers(0 if synchronous else 1, m * (m - 1) // 2))
+    frame = FrameConfig(m, p, tau_max=0.0 if synchronous else 10e-6)
+    k = draw(st.integers(1, 6))
+    segments = draw(arrays(np.uint8, (k, frame.segment_bits), elements=st.integers(0, 1)))
+    secondary = np.zeros(k, bool) if synchronous else draw(arrays(bool, k))
+    return frame, segments, secondary
+
+
+@settings(max_examples=80, deadline=None)
+@given(frames_and_segments())
+def test_pack_unpack_round_trip(case):
+    """segment_pair_bits -> bits_to_pair_batch -> RmPair -> unpack_bits and
+    the check bit give back every tail and flag exactly; the two copies of
+    a segment differ only at check_pos."""
+    frame, segments, secondary = case
+    bits = segment_pair_bits(segments, frame, secondary)
+    for row, (P, b) in enumerate(zip(*bits_to_pair_batch(bits))):
+        pair = RmPair(P, b)
+        tail = unpack_bits(pair, frame.pair_positions)
+        np.testing.assert_array_equal(tail, segments[row, frame.p :])
+        flag = frame.check_pos is not None and bool(pair.b[frame.check_pos])
+        assert flag == secondary[row]
+    if frame.check_pos is not None:
+        diff = segment_pair_bits(segments, frame, ~secondary) != bits
+        assert diff[:, frame.check_pos].all() and diff.sum() == len(segments)
 
 
 def test_copies_differ_only_in_check_bit():
     rng = np.random.default_rng(12)
-    layout = BitLayout.asynchronous(5, 2)
-    payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-    translate = np.array([1, 0], np.uint8)
-    primary = pair_to_bits(pack_bits(payload, translate, False, layout))
-    secondary = pair_to_bits(pack_bits(payload, translate, True, layout))
-    diff = np.flatnonzero(primary != secondary)
-    assert diff.tolist() == [layout.check_pos]
+    frame = FrameConfig(5, 2)
+    segment = rng.integers(0, 2, size=frame.segment_bits, dtype=np.uint8)
+    segment[2:4] = [1, 0]
+    primary, secondary = segment_pair_bits(np.stack([segment] * 2), frame, np.array([False, True]))
+    assert np.flatnonzero(primary != secondary).tolist() == [3]  # b[m-2]
 
 
 def test_pack_exhaustive_small_layout():
-    # m=3, p=1: every field combination maps to a distinct pair and back
-    layout = BitLayout.asynchronous(3, 1)
+    # m=3, p=1: every tail (translate and payload) and copy maps to a
+    # distinct pair and back
+    frame = FrameConfig(3, 1)
+    n_tail = frame.segment_bits - frame.p
+    tails = np.array([binary_index(v, n_tail) for v in range(1 << n_tail)])
+    segments = np.concatenate([np.zeros((len(tails), 1), np.uint8), tails], axis=1)
     seen = set()
-    for payload_val in range(1 << layout.payload_size):
-        payload = binary_index(payload_val, layout.payload_size)
-        for tr in range(2):
-            for sec in (False, True):
-                pair = pack_bits(payload, np.array([tr], np.uint8), sec, layout)
-                seen.add(pair.key())
-                got = unpack_bits(pair, layout)
-                assert bits_to_int(got[0]) == payload_val
-                assert int(got[1][0]) == tr
-                assert got[2] == sec
-    assert len(seen) == (1 << layout.payload_size) * 2 * 2
+    for sec in (False, True):
+        bits = segment_pair_bits(segments, frame, np.full(len(tails), sec))
+        for val, (P, b) in enumerate(zip(*bits_to_pair_batch(bits))):
+            pair = RmPair(P, b)
+            seen.add(pair.key())
+            assert bits_to_int(unpack_bits(pair, frame.pair_positions)) == val
+            assert bool(pair.b[frame.check_pos]) == sec
+    assert len(seen) == (1 << n_tail) * 2
 
 
 def test_pack_rejects_wrong_sizes():
-    layout = BitLayout.asynchronous(4, 2)
-    with pytest.raises(ValueError):
-        pack_bits(np.zeros(3, np.uint8), np.zeros(2, np.uint8), False, layout)
-    with pytest.raises(ValueError):
-        pack_bits(np.zeros(layout.payload_size, np.uint8), np.zeros(1, np.uint8), False, layout)
-    sync = BitLayout.synchronous(4, 2)
-    with pytest.raises(ValueError):
+    frame = FrameConfig(4, 2)
+    for width in (frame.segment_bits - 1, frame.segment_bits + 1):
+        with pytest.raises(ValueError):
+            segment_pair_bits(np.zeros((1, width), np.uint8), frame, np.array([False]))
+    sync = FrameConfig(4, 2, tau_max=0.0)
+    with pytest.raises(ValueError, match="single copy"):
         # no check bit to set in the single-copy layout
-        pack_bits(np.zeros(sync.payload_size, np.uint8), np.zeros(0, np.uint8), True, sync)
-
-
-def test_unpack_warns_on_reserved_bits():
-    layout = BitLayout.asynchronous(4, 1)
-    bits = np.zeros(layout.total_bits, dtype=np.uint8)
-    bits[layout.reserved_pos[0]] = 1
-    with pytest.warns(UserWarning):
-        unpack_bits(bits_to_pair(bits), layout)
+        segment_pair_bits(np.zeros((1, sync.segment_bits), np.uint8), sync, np.array([True]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rmaccess.geometry_channel import GeometryConfig
+from rmaccess.geometry_channel import GeometryConfig, expected_neighbors
 from rmaccess.sim_cli import (
     CSV_HEADER,
     ExperimentSpec,
@@ -57,6 +57,11 @@ def test_detector_for_uses_floor_and_overrides():
     assert cfg2.eps == 20.0 and cfg2.k_max == 7
     sync = ExperimentSpec(m=10, p=2, tau_max=0.0)
     assert not sync.detector_for(sync.points()[0]).estimate_delay
+    # k_max = ceil(6 K* / 2**p * r**(1/4)): 12.4686 expected neighbors at
+    # the default point give 3 above; an idle frame still gets one iteration
+    assert expected_neighbors(spec.geometry_for(point)) == pytest.approx(12.468594178495989)
+    idle = ExperimentSpec(devices=0)
+    assert idle.detector_for(idle.points()[0]).k_max == 1
 
 
 def test_points_cartesian_product():

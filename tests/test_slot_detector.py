@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import einsum_samples_batch
+from oracles import einsum_samples_batch, segment_pair
 from rmaccess import slot_detector
-from rmaccess.access_pipeline import _flip_check
+from rmaccess.access_pipeline import FrameConfig, _flip_check
 from rmaccess.geometry_channel import synthesize_slot
-from rmaccess.rm_codec import BitLayout, RmPair, pack_bits, rm_samples, walsh_factor
+from rmaccess.rm_codec import RmPair, rm_samples, walsh_factor
 from rmaccess.slot_detector import (
     DetectorConfig,
     correlate_layer,
@@ -42,11 +42,13 @@ def slot_of(pairs, h, delta, gamma=1.0):
 
 
 def transmit_pair(rng, m, p=1):
-    layout = BitLayout.asynchronous(m, p)
-    payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-    translate = np.zeros(p, np.uint8)
-    translate[0] = 1
-    return pack_bits(payload, translate, False, layout)
+    """Primary pair of a segment with slot 0, translate 1 followed by zeros
+    and a random payload."""
+    frame = FrameConfig(m, p)
+    segment = np.zeros(frame.segment_bits, np.uint8)
+    segment[p] = 1
+    segment[2 * p :] = rng.integers(0, 2, size=frame.segment_bits - 2 * p, dtype=np.uint8)
+    return segment_pair(segment, frame)
 
 
 def test_detector_config_validation():
@@ -56,7 +58,7 @@ def test_detector_config_validation():
         DetectorConfig(k_max=1, eps=1.0, refine_resolution=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(k_max=1, eps=1.0, refine_window=-0.1)
-    # an infinite eps is the empty-frame rule of from_operating_point
+    # an infinite eps declares every slot empty
     assert DetectorConfig(k_max=1, eps=math.inf).eps == math.inf
 
 
@@ -75,20 +77,6 @@ def test_detector_config_rejects_non_finite_refine_window(value):
 def test_detector_config_rejects_non_finite_refine_resolution(value):
     with pytest.raises(ValueError, match="refine_resolution"):
         DetectorConfig(k_max=1, eps=1.0, refine_resolution=value)
-
-
-def test_from_operating_point_frozen():
-    # the documented defaults at the standard operating point
-    cfg = DetectorConfig.from_operating_point(
-        n_active=1000, r=16, m=6, p=6, d=0,
-        interference=199.49750685593585, neighbors=12.468594178495989,
-    )
-    assert cfg.eps == pytest.approx(36.68579094883372, rel=1e-12)
-    assert cfg.k_max == 3
-    idle = DetectorConfig.from_operating_point(
-        n_active=0, r=16, m=6, p=6, interference=0.0, neighbors=0.0
-    )
-    assert idle.eps == math.inf and idle.k_max == 1
 
 
 def test_correlate_layer_by_hand():
@@ -298,11 +286,12 @@ def test_reconstruct_signal_matches_einsum_oracle():
     rng = np.random.default_rng(54)
     for m in range(2, 15):
         upper = np.triu(rng.integers(0, 2, size=(m, m), dtype=np.uint8))
-        layout = BitLayout.asynchronous(m, 1)
-        payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-        primary = pack_bits(payload, np.ones(1, np.uint8), False, layout)
-        other = _flip_check(primary, layout)
-        assert other == pack_bits(payload, np.ones(1, np.uint8), True, layout)
+        frame = FrameConfig(m, 1)
+        payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
+        segment = np.concatenate([[0, 1], payload])
+        primary = segment_pair(segment, frame)
+        other = _flip_check(primary, frame.check_pos)
+        assert other == segment_pair(segment, frame, secondary=True)
         random_pair = RmPair(upper | upper.T, rng.integers(0, 2, size=m, dtype=np.uint8))
         for pair in (random_pair, primary, other):
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -336,11 +325,9 @@ def test_two_devices_noiseless():
     """Both pairs are recovered, strongest first, and every kept iteration
     shrinks the residual."""
     rng = np.random.default_rng(54)
-    layout = BitLayout.asynchronous(6, 2)
     pairs, hs = [], []
     for scale in (3.0, 1.0):
-        payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-        pairs.append(pack_bits(payload, np.array([1, 0], np.uint8), False, layout))
+        pairs.append(transmit_pair(rng, 6, p=2))
         hs.append(scale * np.exp(1j * rng.uniform(0, 2 * math.pi, 16)))
     dets = detect_slot(slot_of(pairs, hs, [0.3, -1.1]), DetectorConfig(k_max=6, eps=1e-6))
     found = [d.pair for d in dets]
@@ -355,9 +342,10 @@ def test_two_devices_noiseless():
 
 def test_synchronous_mode_decodes_top_layer_as_data():
     rng = np.random.default_rng(55)
-    layout = BitLayout.synchronous(6, 2)
-    payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-    pair = pack_bits(payload, np.zeros(0, np.uint8), False, layout)
+    frame = FrameConfig(6, 2, tau_max=0.0)
+    segment = np.zeros(frame.segment_bits, np.uint8)
+    segment[2:] = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
+    pair = segment_pair(segment, frame)
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     cfg = DetectorConfig(k_max=2, eps=1e-9, estimate_delay=False)
     det = detect_slot(slot_of([pair], [h], [0.0]), cfg)[0]
@@ -432,19 +420,20 @@ def test_detect_slot_does_not_mutate_input():
 
 _BLAS_PROBE = """
 import numpy as np
+from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
 from rmaccess.geometry_channel import synthesize_slot
-from rmaccess.rm_codec import BitLayout, pack_bits, rm_samples
+from rmaccess.rm_codec import bits_to_pair_batch, rm_samples_batch
 from rmaccess.slot_detector import DetectorConfig, detect_slot
 
 rng = np.random.default_rng(58)
-layout = BitLayout.asynchronous(11, 1)
-X, h = [], []
+frame = FrameConfig(11, 1)
+segments, h = [], []
 for scale in (2.0, 1.0):
-    payload = rng.integers(0, 2, size=layout.payload_size, dtype=np.uint8)
-    pair = pack_bits(payload, np.ones(1, np.uint8), False, layout)
-    X.append(rm_samples(pair.P, pair.b))
+    payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
+    segments.append(np.concatenate([[0, 1], payload]))
     h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=16)))
-Y = synthesize_slot(np.stack(X), np.stack(h), np.array([0.4, -1.3]), gamma=1.0)
+X = rm_samples_batch(*bits_to_pair_batch(segment_pair_bits(np.stack(segments), frame, [0, 0])))
+Y = synthesize_slot(X, np.stack(h), np.array([0.4, -1.3]), gamma=1.0)
 Y = Y + 0.1 * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
 for det in detect_slot(Y, DetectorConfig(k_max=3, eps=0.0)):
     print(det.pair.P.tobytes().hex(), det.pair.b.tobytes().hex(), det.h_hat.tobytes().hex(),
