@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from oracles import einsum_samples_batch, segment_pair
 from rmaccess import slot_detector
 from rmaccess.access_pipeline import FrameConfig, _flip_check
-from rmaccess.geometry_channel import synthesize_slot
+from rmaccess.geometry_channel import expected_neighbors, synthesize_slot
 from rmaccess.rm_codec import RmPair, rm_samples, walsh_factor
+from rmaccess.sim_cli import ExperimentSpec
 from rmaccess.slot_detector import (
     DetectorConfig,
     correlate_layer,
@@ -77,6 +78,26 @@ def test_detector_config_rejects_non_finite_refine_window(value):
 def test_detector_config_rejects_non_finite_refine_resolution(value):
     with pytest.raises(ValueError, match="refine_resolution"):
         DetectorConfig(k_max=1, eps=1.0, refine_resolution=value)
+
+
+def test_from_operating_point_frozen():
+    # the detector an experiment derives at the standard operating point
+    # (K = 1000, r = 16, m = p = 6, d = 0) and for an idle frame
+    spec = ExperimentSpec()
+    point = spec.points()[0]
+    assert point == {"K": 1000, "r": 16, "m": 6, "p": 6, "d": 0}
+    cfg = spec.detector_for(point)
+    assert cfg.eps == pytest.approx(37.72260613626624, rel=1e-12)
+    assert cfg.k_max == 3
+    idle = ExperimentSpec(devices=0)
+    idle_cfg = idle.detector_for(idle.points()[0])
+    assert idle_cfg.eps == pytest.approx(32.0, rel=1e-12) and idle_cfg.k_max == 1
+    # k_max = max(1, ceil(6 K* / 2**p * r**(1/4))) across the sweep axes
+    swept = ExperimentSpec(sweep={"K": [0, 200, 1000], "r": [1, 16], "p": [2, 6]})
+    for pt in swept.points():
+        neighbors = expected_neighbors(swept.geometry_for(pt))
+        want = max(1, math.ceil(6.0 * neighbors / 2 ** pt["p"] * pt["r"] ** 0.25))
+        assert swept.detector_for(pt).k_max == want
 
 
 def test_correlate_layer_by_hand():
