@@ -26,9 +26,7 @@ from .geometry_channel import (
     synthesize_slot,
 )
 from .rm_codec import (
-    RmPair,
     binary_index,
-    bits_to_int,
     bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
@@ -50,9 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # codec
-    "RmPair",
     "binary_index",
-    "bits_to_int",
     "bits_to_pair_batch",
     "pair_to_bits",
     "rm_samples",

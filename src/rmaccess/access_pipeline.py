@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import slot_detector
-from .rm_codec import RmPair, as_bits, binary_index, bits_to_int, unpack_bits
+from .rm_codec import as_bits, binary_index, unpack_bits
 from .slot_detector import DetectorConfig
 
 __all__ = [
@@ -43,13 +43,15 @@ __all__ = [
     "error_metrics",
 ]
 
-_DEFAULT_PARITY = {0: (0,), 1: (0, 12), 2: (0, 9, 9, 9)}
+# parity bits per sub-block at each d, and the seed of their random maps
+_PARITY = {0: (0,), 1: (0, 12), 2: (0, 9, 9, 9)}
+_PARITY_SEED = 2024
 
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Code and frame geometry: sequence order m, 2**p slots, 2**d sub-blocks,
-    per-sub-block parity bit counts, subcarrier spacing and the maximum delay.
+    """Code and frame geometry: sequence order m, 2**p slots, 2**d sub-blocks
+    (parity counts fixed per d), subcarrier spacing and the maximum delay.
 
     tau_max == 0 selects the synchronous variant (single copy per sub-block,
     no check or reserved bits, and no delay estimation downstream).
@@ -64,8 +66,6 @@ class FrameConfig:
     m: int
     p: int
     d: int = 0
-    parity_bits: tuple[int, ...] | None = None
-    parity_seed: int = 2024
     delta_f: float = 15e3
     tau_max: float = 10e-6
 
@@ -87,18 +87,9 @@ class FrameConfig:
                 f"a {self.p}-bit translate does not fit the {self.m * (self.m - 1) // 2} "
                 f"off-diagonal positions of P at m={self.m}"
             )
-        if self.parity_bits is not None:
-            object.__setattr__(self, "parity_bits", tuple(int(l) for l in self.parity_bits))
-        parity = self.parity
-        if len(parity) != self.n_subblocks:
-            raise ValueError(f"need {self.n_subblocks} parity counts, got {len(parity)}")
-        if parity[0] != 0:
-            raise ValueError("the first sub-block carries no parity")
-        if any(l < 0 for l in parity):
-            raise ValueError("parity counts must be nonnegative")
         if min(self.info_per_subblock) < 0:
             raise ValueError(
-                f"parity allocation {parity} exceeds the {self.segment_bits}-bit segments"
+                f"parity allocation {self.parity} exceeds the {self.segment_bits}-bit segments"
             )
         if self.message_bits < 1:
             raise ValueError("the configuration leaves no information bits")
@@ -132,9 +123,7 @@ class FrameConfig:
 
     @property
     def parity(self) -> tuple[int, ...]:
-        if self.parity_bits is not None:
-            return self.parity_bits
-        return _DEFAULT_PARITY[self.d]
+        return _PARITY[self.d]
 
     @property
     def segment_bits(self) -> int:
@@ -184,9 +173,10 @@ def _pair_positions(m: int, p: int, synchronous: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parity_matrix(seed: int, j: int, rows: int, cols: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, j])
-    mat = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+def _parity_matrix(j: int, rows: int, cols: int) -> np.ndarray:
+    """Seeded random binary map of sub-block j, as int64.  Read-only."""
+    rng = np.random.default_rng([_PARITY_SEED, j])
+    mat = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8).astype(np.int64)
     mat.setflags(write=False)
     return mat
 
@@ -206,8 +196,8 @@ def tree_encode(infos: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         n_parity = cfg.parity[j]
         segments[:, j, :n_info] = infos[:, start : start + n_info]
         if n_parity:
-            mat = _parity_matrix(cfg.parity_seed, j, n_parity, start)
-            segments[:, j, n_info:] = (infos[:, :start] @ mat.T.astype(np.int64)) % 2
+            mat = _parity_matrix(j, n_parity, start)
+            segments[:, j, n_info:] = (infos[:, :start] @ mat.T) % 2
         start += n_info
     return segments
 
@@ -230,35 +220,33 @@ def tree_decode(
     whose parity bits match the seeded map of the info bits collected so
     far.  At most path_cap paths stay live per level; exceeding it drops the
     newest candidates and sets the overflow flag.  Output messages are
-    deduplicated, first occurrence wins.
+    deduplicated, first occurrence wins.  Candidate entries other than 0
+    and 1 raise ValueError.
     """
     if len(candidates) != cfg.n_subblocks:
         raise ValueError(f"expected candidates for {cfg.n_subblocks} sub-blocks")
     paths: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.zeros(0, dtype=np.uint8))]
     overflow = False
-    for j in range(cfg.n_subblocks):
+    for j, block in enumerate(candidates):
+        shape = (len(block), cfg.segment_bits)
+        block = as_bits(block) if len(block) else np.zeros(shape, np.uint8)
+        if block.shape != shape:
+            raise ValueError(f"expected candidate segments of shape {shape}, got {block.shape}")
         n_info = cfg.info_per_subblock[j]
         n_parity = cfg.parity[j]
         extended = []
         for idx_path, info_prefix in paths:
-            for ci, seg in enumerate(candidates[j]):
-                seg = np.asarray(seg, dtype=np.uint8)
-                if seg.shape != (cfg.segment_bits,):
-                    raise ValueError(
-                        f"candidate segments must have {cfg.segment_bits} bits, got {seg.shape}"
-                    )
-                if n_parity:
-                    mat = _parity_matrix(cfg.parity_seed, j, n_parity, info_prefix.size)
-                    expected = (mat.astype(np.int64) @ info_prefix) % 2
-                    if not np.array_equal(seg[n_info:], expected.astype(np.uint8)):
-                        continue
-                extended.append((idx_path + (ci,), np.concatenate([info_prefix, seg[:n_info]])))
+            matches = range(len(block))
+            if n_parity:
+                expected = (_parity_matrix(j, n_parity, info_prefix.size) @ info_prefix) % 2
+                matches = np.flatnonzero((block[:, n_info:] == expected).all(axis=1)).tolist()
+            for ci in matches:
+                info = np.concatenate([info_prefix, block[ci, :n_info]])
+                extended.append((idx_path + (ci,), info))
         if len(extended) > path_cap:
             overflow = True
             extended = extended[:path_cap]
         paths = extended
-        if not paths:
-            break
     messages: list[np.ndarray] = []
     kept_paths: list[tuple[int, ...]] = []
     seen: set[bytes] = set()
@@ -277,10 +265,15 @@ def tree_decode(
 
 def segment_pair_bits(segments: np.ndarray, cfg: FrameConfig, secondary: np.ndarray) -> np.ndarray:
     """Canonical pair bit strings for a stack of segments: (k, segment_bits)
-    with per-row secondary flags -> (k, m(m+3)/2).  Segment bit p + j goes to
-    cfg.pair_positions[j] and a secondary copy sets the check bit."""
-    segments = as_bits(segments)
-    secondary = np.asarray(secondary, dtype=bool)
+    with (k,) secondary flags, each 0 or 1 -> (k, m(m+3)/2).  Segment bit
+    p + j goes to cfg.pair_positions[j] and a secondary copy sets the check
+    bit."""
+    segments, secondary = as_bits(segments), as_bits(secondary)
+    if segments.shape[1:] != (cfg.segment_bits,) or secondary.shape != segments.shape[:1]:
+        raise ValueError(
+            f"expected (k, {cfg.segment_bits}) segments and (k,) secondary flags, "
+            f"got {segments.shape} and {secondary.shape}"
+        )
     bits = np.zeros((segments.shape[0], cfg.m * (cfg.m + 3) // 2), dtype=np.uint8)
     bits[:, cfg.pair_positions] = segments[:, cfg.p :]
     if secondary.any():
@@ -290,9 +283,14 @@ def segment_pair_bits(segments: np.ndarray, cfg: FrameConfig, secondary: np.ndar
     return bits
 
 
+def _msb_weights(width: int) -> np.ndarray:
+    """Weights that read a width-bit vector MSB-first as an integer."""
+    return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 def _slots_from_segments(segments: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """(k, 2**d, segment_bits) -> slot indices (k, 2**d, copies)."""
-    weights = 1 << np.arange(cfg.p - 1, -1, -1, dtype=np.int64) if cfg.p else np.zeros(0, np.int64)
+    weights = _msb_weights(cfg.p)
     primary = segments[:, :, : cfg.p].astype(np.int64) @ weights
     if cfg.synchronous:
         return primary[:, :, None]
@@ -343,14 +341,6 @@ class FrameDecodeResult:
     candidate_counts: list[int] = field(default_factory=list)
 
 
-def _flip_check(pair: RmPair, check_pos: int) -> RmPair:
-    """The pair of a message's other copy.  The check bit is b[m-2]
-    (FrameConfig.check_pos), so only b changes and the pair stays valid."""
-    b = pair.b.copy()
-    b[check_pos] ^= 1
-    return RmPair._trusted(pair.P, b)
-
-
 def decode_frame(
     observations: np.ndarray,
     det_cfg: DetectorConfig,
@@ -388,7 +378,7 @@ def decode_frame(
             f"{'synchronous' if cfg.synchronous else 'asynchronous'} frame"
         )
     positions, check_pos = cfg.pair_positions, cfg.check_pos
-    n_translate = 0 if cfg.synchronous else cfg.p
+    translate_weights = _msb_weights(0 if cfg.synchronous else cfg.p)
     cand_segments: list[list[np.ndarray]] = []
     cand_meta: list[list[tuple[np.ndarray, float]]] = []
     for j in range(cfg.n_subblocks):
@@ -398,12 +388,12 @@ def decode_frame(
         pending: dict[int, list] = defaultdict(list)
         for i in range(cfg.n_slots):
             Y = observations[j, i]
-            for pair2, h2, delta2 in pending.get(i, ()):
-                Y = Y - slot_detector.reconstruct_signal(pair2, h2, delta2)
+            for P2, b2, h2, delta2 in pending.get(i, ()):
+                Y = Y - slot_detector.reconstruct_signal(P2, b2, h2, delta2)
             for det in slot_detector.detect_slot(Y, det_cfg):
-                tail = unpack_bits(det.pair, positions)
-                is_secondary = check_pos is not None and bool(det.pair.b[check_pos])
-                other = i ^ bits_to_int(tail[:n_translate])
+                tail = unpack_bits(det.P, det.b, positions)
+                is_secondary = check_pos is not None and bool(det.b[check_pos])
+                other = i ^ int(tail[: translate_weights.size] @ translate_weights)
                 primary = other if is_secondary else i
                 segment = np.concatenate([binary_index(primary, cfg.p), tail])
                 key = segment.tobytes()
@@ -413,7 +403,9 @@ def decode_frame(
                 if other > i:
                     # the same message's other copy: flip the check bit, reuse
                     # the block-static channel and delay estimates
-                    pending[other].append((_flip_check(det.pair, check_pos), det.h_hat, det.delta_hat))
+                    b2 = det.b.copy()
+                    b2[check_pos] ^= 1
+                    pending[other].append((det.P, b2, det.h_hat, det.delta_hat))
                 if power_floor is not None:
                     power = float(np.vdot(det.h_hat, det.h_hat).real)
                     if power < power_floor:

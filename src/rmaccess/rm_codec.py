@@ -7,11 +7,13 @@ sequence is two interleaved copies of a shorter one, the even-position copy
 modulated by a Walsh function whose frequency is the last off-diagonal
 column of P.  rm_samples_batch is the one sequence builder: it runs that
 recursion layer by layer in O(2**m) per sequence, and rm_samples is its
-batch of one.  walsh_factor gives the modulating factor of one layer, wht
-is the fast Walsh-Hadamard transform the detector uses to locate its
-frequency, and the rest converts pairs to and from their canonical bit
-strings.  Where a message's bits sit in that string is the frame scheme's
-decision (access_pipeline.FrameConfig.pair_positions), not the codec's.
+batch of one.  walsh_factor gives the modulating factor of one layer from
+its frequency as an integer, wht is the fast Walsh-Hadamard transform whose
+peak index is that frequency, and the rest converts pairs to and from their
+canonical bit strings.  A pair is always two arrays, P and b, or stacks
+(..., m, m) and (..., m) of them.  Where a message's bits sit in the bit
+string is the frame scheme's decision
+(access_pipeline.FrameConfig.pair_positions), not the codec's.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
 the least significant bit, i.e. vectors read MSB-first.  The subsequence
@@ -20,16 +22,13 @@ recursion (odd positions of X are X_half verbatim) forces this ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "RmPair",
     "as_bits",
     "binary_index",
-    "bits_to_int",
     "rm_samples",
     "rm_samples_batch",
     "walsh_factor",
@@ -49,27 +48,11 @@ def binary_index(n: int, s: int) -> np.ndarray:
     binary_index(3, 2) == [1, 1]; binary_index(1, 2) == [0, 1].
     Raises ValueError unless 0 <= n < 2**s.
     """
-    n = int(n)
-    s = int(s)
-    if s < 0:
-        raise ValueError(f"bit width must be nonnegative, got {s}")
-    if not 0 <= n < (1 << s):
+    n, s = int(n), int(s)
+    if s < 0 or not 0 <= n < (1 << s):
         raise ValueError(f"index {n} does not fit in {s} bits")
     shifts = np.arange(s - 1, -1, -1, dtype=np.int64)
     return ((n >> shifts) & 1).astype(np.uint8)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    """Inverse of binary_index: MSB-first bit vector to integer."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("expected a 1-D bit vector")
-    value = 0
-    for bit in bits.tolist():
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit}")
-        value = (value << 1) | bit
-    return value
 
 
 def as_bits(values) -> np.ndarray:
@@ -84,57 +67,15 @@ def as_bits(values) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class RmPair:
-    """Matrix-vector identity of a second-order Reed-Muller sequence.
-
-    P is symmetric binary m x m, b is binary length m.  Together they carry
-    m(m+3)/2 bits.  A pair used for transmission in the asynchronous scheme
-    additionally has b[m-1] = P[m-1, m-1] = 0 (no message bit is placed
-    there, see access_pipeline.FrameConfig.pair_positions; the detector
-    relies on it to read timing off the top layer).
-    """
-
-    P: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        P = np.ascontiguousarray(as_bits(self.P))
-        b = np.ascontiguousarray(as_bits(self.b))
-        if b.ndim != 1 or b.size < 1:
-            raise ValueError("b must be a nonempty vector")
-        if P.shape != (b.size, b.size):
-            raise ValueError(f"P must be {b.size} x {b.size}, got {P.shape}")
-        if not np.array_equal(P, P.T):
-            raise ValueError("P must be symmetric")
-        P.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def _trusted(cls, P: np.ndarray, b: np.ndarray) -> "RmPair":
-        """A pair of uint8 arrays the package built valid, without the checks."""
-        pair = object.__new__(cls)
-        for name, arr in (("P", P), ("b", b)):
-            arr.setflags(write=False)
-            object.__setattr__(pair, name, arr)
-        return pair
-
-    @property
-    def m(self) -> int:
-        return self.b.size
-
-    def key(self) -> bytes:
-        return self.b.tobytes() + self.P.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RmPair):
-            return NotImplemented
-        return self.m == other.m and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
+def _as_pairs(P, b) -> tuple[np.ndarray, np.ndarray]:
+    """P (..., m, m) and b (..., m) as uint8 arrays, checked: entries 0 or
+    1, m >= 1, matching shapes and a symmetric P."""
+    P, b = as_bits(P), as_bits(b)
+    if b.ndim < 1 or b.shape[-1] < 1 or P.shape != b.shape + b.shape[-1:]:
+        raise ValueError(f"expected P (..., m, m), b (..., m), m >= 1; got {P.shape}, {b.shape}")
+    if (P != np.swapaxes(P, -1, -2)).any():
+        raise ValueError("P must be symmetric")
+    return P, b
 
 
 @lru_cache(maxsize=None)
@@ -181,16 +122,10 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     + 2*parity(n' & eta_s)) mod 4, with eta_s = P[:s-1, s-1] read MSB-first,
     so only the upper triangle of P is read; P must be symmetric.
     """
-    Ps = np.asarray(Ps)
-    bs = np.asarray(bs)
-    if Ps.ndim != 3 or bs.ndim != 2 or Ps.shape[0] != bs.shape[0]:
-        raise ValueError("expected stacked pairs of matching leading dimension")
+    if np.ndim(bs) != 2:
+        raise ValueError("expected a stack of pairs, bs of shape (k, m)")
+    Ps, bs = _as_pairs(Ps, bs)
     k, m = bs.shape
-    if m < 1 or Ps.shape[1:] != (m, m):
-        raise ValueError(f"expected nonempty b rows and {m} x {m} P matrices, got {Ps.shape[1:]}")
-    Ps, bs = as_bits(Ps), as_bits(bs)
-    if (Ps != Ps.transpose(0, 2, 1)).any():
-        raise ValueError("P must be symmetric")
     shifts = (2 * bs + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
     etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))[:, :, None]
     # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
@@ -219,18 +154,23 @@ def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rm_samples_batch(np.asarray(P)[None], np.asarray(b)[None])[0]
 
 
-def walsh_factor(eta: np.ndarray, b_bit: int, beta_bit: int) -> np.ndarray:
+def walsh_factor(freq: int, width: int, b_bit: int, beta_bit: int) -> np.ndarray:
     """Modulation factor V relating a sequence's even positions to its half.
 
-    V[n-1] = i**(2*b_bit + beta_bit + 2*eta'a) over a = binary_index(n-1, s-1),
-    a Walsh function of frequency eta times a fixed fourth root of unity.
-    For a pair (P, b), the order-s truncation X and the order-(s-1)
-    truncation X_half satisfy X[0::2] == X_half and X[1::2] == V * X_half
-    with eta = P[:s-1, s-1], b_bit = b[s-1], beta_bit = P[s-1, s-1].
+    V[n-1] = i**(2*b_bit + beta_bit + 2*eta'a) over a = binary_index(n-1, width)
+    with eta = binary_index(freq, width): a Walsh function of frequency freq
+    times a fixed fourth root of unity.  For a pair (P, b), the order-s
+    truncation X and the order-(s-1) truncation X_half satisfy
+    X[0::2] == X_half and X[1::2] == V * X_half with width = s-1, freq =
+    P[:s-1, s-1] read MSB-first, b_bit = b[s-1] and beta_bit = P[s-1, s-1].
     """
-    freq = bits_to_int(eta)  # raises unless eta is a 1-D vector of bits
-    idx = _walsh_table(len(eta))[0]
-    return _walsh_values(len(eta))[(2 * int(b_bit) + int(beta_bit)) & 3][idx & freq]
+    freq, width = int(freq), int(width)
+    if width < 0 or not 0 <= freq < (1 << width):
+        raise ValueError(f"{freq} is not a {width}-bit Walsh frequency")
+    if b_bit not in (0, 1) or beta_bit not in (0, 1):
+        raise ValueError(f"b_bit and beta_bit must be 0 or 1, got {b_bit} and {beta_bit}")
+    idx = _walsh_table(width)[0]
+    return _walsh_values(width)[2 * int(b_bit) + int(beta_bit)][idx & freq]
 
 
 def wht(x: np.ndarray) -> np.ndarray:
@@ -267,11 +207,15 @@ def _triu_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def pair_to_bits(pair: RmPair) -> np.ndarray:
+def pair_to_bits(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Canonical bit string of a pair: b, then the upper triangle of P
-    (diagonal included) row by row.  Length m(m+3)/2."""
-    rows, cols = _triu_coords(pair.m)
-    return np.concatenate([pair.b, pair.P[rows, cols]])
+    (diagonal included) row by row, m(m+3)/2 bits.  Takes one pair or a
+    stack, P (..., m, m) and b (..., m), as the exact inverse of
+    bits_to_pair_batch; entries other than 0 and 1, shapes that disagree
+    and an asymmetric P raise ValueError."""
+    P, b = _as_pairs(P, b)
+    rows, cols = _triu_coords(b.shape[-1])
+    return np.concatenate([b, P[..., rows, cols]], axis=-1)
 
 
 def _order_from_total(total: int) -> int:
@@ -296,6 +240,6 @@ def bits_to_pair_batch(bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Ps, bs
 
 
-def unpack_bits(pair: RmPair, positions: np.ndarray) -> np.ndarray:
+def unpack_bits(P: np.ndarray, b: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """The pair's canonical bits at the given positions, in their order."""
-    return pair_to_bits(pair)[positions]
+    return pair_to_bits(P, b)[..., positions]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rm_codec import _IOTA_POW, RmPair, binary_index, rm_samples, walsh_factor, wht
+from .rm_codec import _IOTA_POW, as_bits, binary_index, rm_samples, walsh_factor, wht
 
 __all__ = [
     "Detection",
@@ -79,11 +79,12 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detected transmission: its pair, channel estimate (scaled by
-    sqrt(gamma)), delay estimate, the raw per-layer delay components, and the
-    residual norms around its cancellation."""
+    """One detected transmission: its pair (P, b), channel estimate (scaled
+    by sqrt(gamma)), delay estimate, the raw per-layer delay components, and
+    the residual norms around its cancellation.  The arrays are read-only."""
 
-    pair: RmPair
+    P: np.ndarray
+    b: np.ndarray
     h_hat: np.ndarray
     delta_hat: float
     delta_components: np.ndarray
@@ -92,12 +93,15 @@ class Detection:
     iteration: int
 
     def __post_init__(self) -> None:
-        h = np.ascontiguousarray(np.asarray(self.h_hat, dtype=np.complex128))
-        comps = np.ascontiguousarray(np.asarray(self.delta_components, dtype=np.float64))
-        h.setflags(write=False)
-        comps.setflags(write=False)
-        object.__setattr__(self, "h_hat", h)
-        object.__setattr__(self, "delta_components", comps)
+        for name, arr in (
+            ("P", as_bits(self.P)),
+            ("b", as_bits(self.b)),
+            ("h_hat", np.asarray(self.h_hat, dtype=np.complex128)),
+            ("delta_components", np.asarray(self.delta_components, dtype=np.float64)),
+        ):
+            arr = np.ascontiguousarray(arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def correlate_layer(Y: np.ndarray) -> np.ndarray:
@@ -115,8 +119,9 @@ def correlate_layer(Y: np.ndarray) -> np.ndarray:
     return np.einsum("ln,ln->n", Y[:, 1::2], np.conj(Y[:, 0::2]))
 
 
-def peak_search(t: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Largest-magnitude WHT bin: (frequency bits MSB-first, peak value).
+def peak_search(t: np.ndarray) -> tuple[int, complex]:
+    """Largest-magnitude WHT bin: (index, peak value).  In wht's natural
+    ordering the index is the Walsh frequency, its bits read MSB-first.
 
     Ties break toward the smallest index.
     """
@@ -127,7 +132,7 @@ def peak_search(t: np.ndarray) -> tuple[np.ndarray, complex]:
     if n & (n - 1) != 0:
         raise ValueError(f"transform length must be a power of two, got {n}")
     idx = int(np.argmax(np.abs(t)))
-    return binary_index(idx, n.bit_length() - 1), complex(t[idx])
+    return idx, complex(t[idx])
 
 
 def decode_polarity(peak: complex, phase_comp: float) -> tuple[int, int, float]:
@@ -257,11 +262,13 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     return float(_wrap(grid[int(np.argmin(residual))]))
 
 
-def reconstruct_signal(pair: RmPair, h_hat: np.ndarray, delta_hat: float) -> np.ndarray:
-    """Post-DFT contribution of one transmission: outer(h_hat, X * ramp)
-    with ramp[n-1] = exp(-i * delta_hat * n), n = 1..2**m (h_hat carries the
-    sqrt(gamma) scale)."""
-    samples = rm_samples(pair.P, pair.b)
+def reconstruct_signal(
+    P: np.ndarray, b: np.ndarray, h_hat: np.ndarray, delta_hat: float
+) -> np.ndarray:
+    """Post-DFT contribution of one transmission of the pair (P, b):
+    outer(h_hat, X * ramp) with ramp[n-1] = exp(-i * delta_hat * n),
+    n = 1..2**m (h_hat carries the sqrt(gamma) scale)."""
+    samples = rm_samples(P, b)
     n_idx = np.arange(1, samples.size + 1)
     return np.ravel(h_hat)[:, None] * (samples * np.exp(-1j * delta_hat * n_idx))
 
@@ -276,7 +283,7 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     prev = 0.0
     for s in range(m, 1, -1):
         t = wht(correlate_layer(Ys))
-        eta, peak = peak_search(t)
+        freq, peak = peak_search(t)
         if peak == 0:
             return None
         if s == m and cfg.estimate_delay:
@@ -288,12 +295,13 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
             b_s, beta_s, comp = decode_polarity(peak, comp_phase)
             if not cfg.estimate_delay:
                 comp = 0.0
+        eta = binary_index(freq, s - 1)
         P[: s - 1, s - 1] = eta
         P[s - 1, : s - 1] = eta
         P[s - 1, s - 1] = beta_s
         b[s - 1] = b_s
         components[m - s] = comp
-        Ys = fold_layer(Ys, walsh_factor(eta, b_s, beta_s), comp)
+        Ys = fold_layer(Ys, walsh_factor(freq, s - 1, b_s, beta_s), comp)
         prev = comp
     try:
         b1, beta1, comp_m, h_hat = estimate_final(Ys, prev, cfg.estimate_delay)
@@ -302,12 +310,8 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     b[0] = b1
     P[0, 0] = beta1
     components[m - 1] = comp_m
-    if cfg.estimate_delay:
-        delta_hat = refine_delay(components, cfg)
-    else:
-        delta_hat = 0.0
-    # P is symmetric and binary by construction
-    return RmPair._trusted(P, b), h_hat, delta_hat, components
+    delta_hat = refine_delay(components, cfg) if cfg.estimate_delay else 0.0
+    return P, b, h_hat, delta_hat, components
 
 
 def _norm(Y: np.ndarray) -> float:
@@ -344,14 +348,15 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
         est = _estimate_strongest(Y, m, cfg)
         if est is None:
             break
-        pair, h_hat, delta_hat, components = est
-        Y_next = Y - reconstruct_signal(pair, h_hat, delta_hat)
+        P, b, h_hat, delta_hat, components = est
+        Y_next = Y - reconstruct_signal(P, b, h_hat, delta_hat)
         residual_next = _norm(Y_next)
         if residual_next >= residual:
             break  # cancellation stopped helping; drop this detection
         detections.append(
             Detection(
-                pair=pair,
+                P=P,
+                b=b,
                 h_hat=h_hat,
                 delta_hat=delta_hat,
                 delta_components=components,

@@ -2,14 +2,14 @@
 Reed-Muller quadratic form evaluated over a table of bit vectors, the Walsh
 factor from its definition, the Walsh-Hadamard transform as radix-2
 butterflies, the noise-free slot built through the time domain, and the
-segment layout written out field by field with a one-pair encoder on it."""
+segment layout written out field by field with a one-pair encoder on it.
+A pair is a tuple (P, b) of uint8 arrays, as the package carries it."""
 
 import math
 
 import numpy as np
 
 from rmaccess.geometry_channel import _check_stack
-from rmaccess.rm_codec import RmPair
 
 IOTA_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -29,6 +29,15 @@ def einsum_samples_batch(Ps, bs):
     A = bit_table(bs.shape[1])
     quad = np.einsum("ni,kij,nj->kn", A, Ps, A)
     return IOTA_POW[(2 * (bs @ A.T) + quad) & 3]
+
+
+def bits_value(bits):
+    """A bit vector read MSB-first as a Python int, one bit at a time."""
+    value = 0
+    for bit in bits:
+        assert bit in (0, 1), f"not a bit: {bit}"
+        value = 2 * value + int(bit)
+    return value
 
 
 def bit_table_walsh_factor(eta, b_bit, beta_bit):
@@ -125,8 +134,8 @@ def async_layout(m, p):
 
 
 def pair_from_bits(bits):
-    """The pair of a canonical bit string, entry by entry: b first, then the
-    upper triangle of P (diagonal included) row by row."""
+    """The pair (P, b) of a canonical bit string, entry by entry: b first,
+    then the upper triangle of P (diagonal included) row by row."""
     bits = [int(x) for x in bits]
     m = 1
     while m * (m + 3) // 2 < len(bits):
@@ -137,11 +146,11 @@ def pair_from_bits(bits):
     for i in range(m):
         for j in range(i, m):
             P[i, j] = P[j, i] = next(rest)
-    return RmPair(P, np.array(bits[:m], dtype=np.uint8))
+    return P, np.array(bits[:m], dtype=np.uint8)
 
 
 def segment_pair(segment, frame, secondary=False):
-    """Transmit pair of one copy of one sub-block segment, placed field by
+    """Transmit pair (P, b) of one copy of one sub-block segment, placed field by
     field: the reference for access_pipeline.segment_pair_bits.  The first
     p segment bits are the slot index and stay off the air."""
     m, p = frame.m, frame.p

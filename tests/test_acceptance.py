@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import async_layout, pair_from_bits, segment_pair, time_domain_reference
+from oracles import async_layout, bits_value, pair_from_bits, segment_pair, time_domain_reference
 from rmaccess.access_pipeline import FrameConfig, segment_pair_bits, tree_decode, tree_encode
 from rmaccess.geometry_channel import (
     GeometryConfig,
@@ -23,7 +23,6 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
 )
 from rmaccess.rm_codec import (
-    RmPair,
     binary_index,
     bits_to_pair_batch,
     rm_samples,
@@ -73,7 +72,7 @@ def test_criterion_2_frequency_vs_time_domain(criterion_report):
         X, h, tau = [], [], []
         for _ in range(int(rng.integers(1, 7))):
             pair = pair_from_bits(rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8))
-            X.append(rm_samples(pair.P, pair.b))
+            X.append(rm_samples(*pair))
             h.append(rng.standard_normal(r) + 1j * rng.standard_normal(r))
             tau.append(rng.uniform(0.0, tau_max))
         X, h, tau = np.stack(X), np.stack(h), np.array(tau)
@@ -99,11 +98,11 @@ def test_criterion_3_codec_properties(criterion_report):
         m = int(rng.integers(2, 9))
         P = np.triu(rng.integers(0, 2, size=(m, m), dtype=np.uint8))
         P = np.maximum(P, P.T)
-        pair = RmPair(P, rng.integers(0, 2, size=m, dtype=np.uint8))
+        b = rng.integers(0, 2, size=m, dtype=np.uint8)
         s = int(rng.integers(2, m + 1))
-        X = rm_samples(pair.P[:s, :s], pair.b[:s])
-        X_half = rm_samples(pair.P[: s - 1, : s - 1], pair.b[: s - 1])
-        V = walsh_factor(pair.P[: s - 1, s - 1], pair.b[s - 1], pair.P[s - 1, s - 1])
+        X = rm_samples(P[:s, :s], b[:s])
+        X_half = rm_samples(P[: s - 1, : s - 1], b[: s - 1])
+        V = walsh_factor(bits_value(P[: s - 1, s - 1]), s - 1, b[s - 1], P[s - 1, s - 1])
         identity_ok &= np.array_equal(X[0::2], X_half) and np.array_equal(X[1::2], V * X_half)
 
     # transform involution to 1e-12 relative
@@ -126,17 +125,16 @@ def test_criterion_3_codec_properties(criterion_report):
         for sec in (False, True)[: frame.copies]:
             bits = segment_pair_bits(segments, frame, np.full(len(tails), sec))
             for tail, P, b in zip(tails, *bits_to_pair_batch(bits)):
-                pair = RmPair(P, b)
-                keys.add(pair.key())
-                packing_ok &= np.array_equal(unpack_bits(pair, frame.pair_positions), tail)
-                packing_ok &= frame.synchronous or bool(pair.b[frame.check_pos]) == sec
+                keys.add(P.tobytes() + b.tobytes())
+                packing_ok &= np.array_equal(unpack_bits(P, b, frame.pair_positions), tail)
+                packing_ok &= frame.synchronous or bool(b[frame.check_pos]) == sec
         if frame.synchronous:
             packing_ok &= len(keys) == 1 << total
             continue
         # the image is exactly the set of pairs whose reserved bits are zero
         reserved = list(async_layout(4, 2)[1])
         expect_keys = {
-            pair_from_bits(bits).key()
+            b"".join(arr.tobytes() for arr in pair_from_bits(bits))
             for bits in (binary_index(val, total) for val in range(1 << total))
             if not bits[reserved].any()
         }
@@ -166,9 +164,9 @@ def test_criterion_4_noiseless_round_trip(criterion_report):
             payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
             pair = segment_pair(np.concatenate([[0, 1], payload]), frame)
             h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            Y = synthesize_slot(rm_samples(pair.P, pair.b)[None], h[None], [delta], gamma)
+            Y = synthesize_slot(rm_samples(*pair)[None], h[None], [delta], gamma)
             det = detect_slot(Y, cfg)[0]
-            bits_ok &= det.pair == pair
+            bits_ok &= np.array_equal(det.P, pair[0]) and np.array_equal(det.b, pair[1])
             worst_delta = max(worst_delta, abs(float(wrap(det.delta_hat - delta))))
             scaled = math.sqrt(gamma) * h
             worst_h = max(worst_h, np.linalg.norm(det.h_hat - scaled) / np.linalg.norm(scaled))
@@ -194,7 +192,8 @@ def test_criterion_5_fold_noise_halving(criterion_report):
         half = Y.shape[1] // 2
         width = int(math.log2(half)) if half > 1 else 0
         V = walsh_factor(
-            rng.integers(0, 2, size=width, dtype=np.int64),
+            bits_value(rng.integers(0, 2, size=width, dtype=np.int64)),
+            width,
             int(rng.integers(0, 2)),
             int(rng.integers(0, 2)),
         )

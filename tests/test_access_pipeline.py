@@ -5,7 +5,8 @@ scenes."""
 import numpy as np
 import pytest
 
-from oracles import segment_pair
+from oracles import bits_value, segment_pair
+from rmaccess import slot_detector
 from rmaccess.access_pipeline import (
     FrameConfig,
     decode_frame,
@@ -22,8 +23,6 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
 )
 from rmaccess.rm_codec import (
-    RmPair,
-    bits_to_int,
     bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
@@ -56,12 +55,9 @@ def test_frame_config_validation():
     with pytest.raises(ValueError):
         FrameConfig(m=6, p=0)  # two copies need a nonzero translate space
     FrameConfig(m=6, p=0, tau_max=0.0)  # but a single slot is fine synchronously
-    with pytest.raises(ValueError):
-        FrameConfig(m=6, p=6, d=1, parity_bits=(0,))  # wrong count
-    with pytest.raises(ValueError):
-        FrameConfig(m=6, p=6, d=1, parity_bits=(1, 12))  # first block carries none
-    with pytest.raises(ValueError):
-        FrameConfig(m=6, p=6, d=1, parity_bits=(0, 31))  # exceeds a segment
+    with pytest.raises(ValueError, match="exceeds"):
+        FrameConfig(m=3, p=1, d=2)  # 7-bit segments cannot carry 9 parity bits
+    assert FrameConfig(m=4, p=1, d=2).info_per_subblock == (12, 3, 3, 3)
     with pytest.raises(ValueError):
         FrameConfig(m=1, p=1)
 
@@ -90,15 +86,6 @@ def test_tree_encode_frozen_regression():
     segs = tree_encode(info[None], cfg)[0]
     assert "".join(map(str, segs[0])) == "100100100100100100100100100100"
     assert "".join(map(str, segs[1])) == "100100100100100100000110110101"
-
-
-def test_tree_encode_seed_changes_parity():
-    cfg_a = FrameConfig(m=6, p=6, d=1)
-    cfg_b = FrameConfig(m=6, p=6, d=1, parity_seed=77)
-    info = np.ones(cfg_a.message_bits, dtype=np.uint8)
-    sa, sb = tree_encode(info[None], cfg_a)[0], tree_encode(info[None], cfg_b)[0]
-    np.testing.assert_array_equal(sa[0], sb[0])  # info placement identical
-    assert not np.array_equal(sa[1], sb[1])  # parity bits move with the seed
 
 
 def test_tree_round_trip_all_depths():
@@ -157,11 +144,10 @@ def test_segment_pair_copies():
     bits_p, bits_s = segment_pair_bits(np.stack([seg, seg]), cfg, np.array([False, True]))
     assert np.flatnonzero(bits_p != bits_s).tolist() == [cfg.check_pos]
     Ps, bs = bits_to_pair_batch(bits_s[None])
-    pair = RmPair(Ps[0], bs[0])
-    tail = unpack_bits(pair, cfg.pair_positions)
+    tail = unpack_bits(Ps[0], bs[0], cfg.pair_positions)
     np.testing.assert_array_equal(tail[: cfg.p], seg[cfg.p : 2 * cfg.p])  # translate
     np.testing.assert_array_equal(tail[cfg.p :], seg[2 * cfg.p :])  # payload
-    assert pair.b[cfg.check_pos] == 1
+    assert bs[0, cfg.check_pos] == 1
 
 
 @pytest.mark.parametrize("bad", [256, -1, 0.5, 2])
@@ -170,9 +156,9 @@ def test_bit_inputs_reject_out_of_range_values(bad):
     cast, which would wrap 256 to 0 and -1 to 255 and truncate 0.5."""
     cfg = FrameConfig(m=4, p=2)
     with pytest.raises(ValueError, match="0 or 1"):
-        RmPair(np.array([[bad]]), [0])
+        pair_to_bits(np.array([[bad]]), [0])
     with pytest.raises(ValueError, match="0 or 1"):
-        RmPair([[0]], np.array([bad]))
+        pair_to_bits([[0]], np.array([bad]))
     infos = np.zeros((1, cfg.message_bits))
     infos[0, 3] = bad
     with pytest.raises(ValueError, match="0 or 1"):
@@ -185,6 +171,48 @@ def test_bit_inputs_reject_out_of_range_values(bad):
     bits[0, 0] = bad
     with pytest.raises(ValueError, match="0 or 1"):
         bits_to_pair_batch(bits)
+    with pytest.raises(ValueError, match="0 or 1"):
+        segment_pair_bits(np.zeros((1, cfg.segment_bits)), cfg, np.array([bad]))
+    candidate = np.zeros(cfg.segment_bits)
+    candidate[-1] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        tree_decode([[np.zeros(cfg.segment_bits), candidate]], cfg)
+
+
+def test_segment_pair_bits_rejects_bad_flags():
+    """A flag of 7 or 0.5 is not a copy choice, and a one-flag list must
+    not broadcast over two segment rows."""
+    cfg = FrameConfig(m=4, p=2)
+    segments = np.zeros((2, cfg.segment_bits), np.uint8)
+    for flags in ([7, 0], [0.5, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            segment_pair_bits(segments, cfg, flags)
+    for flags in ([1], [0, 1, 0], [[0, 1]], True):
+        with pytest.raises(ValueError, match=r"\(k,\) secondary flags"):
+            segment_pair_bits(segments, cfg, flags)
+    bits = segment_pair_bits(segments, cfg, [1, 0])
+    assert bits[:, cfg.check_pos].tolist() == [1, 0]
+
+
+def test_tree_decode_rejects_malformed_candidates():
+    """Candidate bits are checked before use: an unchecked uint8 cast would
+    decode 256 as 0, carry a 2 into the message as a "bit" 2 and truncate
+    0.5 to 0."""
+    cfg = FrameConfig(m=6, p=6, d=1)
+    segs = tree_encode(np.ones((1, cfg.message_bits), np.uint8), cfg)[0]
+    assert len(tree_decode([[segs[0]], [segs[1]]], cfg).messages) == 1
+    for bad in (256, 2, 0.5, -1):
+        for j in (0, 1):
+            candidates = [[segs[0]], [segs[1]]]
+            candidates[j] = [segs[j].astype(float)]
+            candidates[j][0][0] = bad
+            with pytest.raises(ValueError, match="0 or 1"):
+                tree_decode(candidates, cfg)
+    for wrong in (segs[0][:-1], np.stack([segs[0]] * 2), segs[0][:1]):
+        with pytest.raises(ValueError, match="shape"):
+            tree_decode([[wrong], [segs[1]]], cfg)
+    with pytest.raises(ValueError, match="shape"):
+        tree_decode([[segs[0], segs[0][:-1]], [segs[1]]], cfg)  # ragged block
 
 
 def test_segment_pair_bits_matches_single():
@@ -195,14 +223,14 @@ def test_segment_pair_bits_matches_single():
     batch = segment_pair_bits(segs, cfg, flags)
     assert batch.dtype == np.uint8
     for k in range(10):
-        expect = pair_to_bits(segment_pair(segs[k], cfg, bool(flags[k])))
+        expect = pair_to_bits(*segment_pair(segs[k], cfg, bool(flags[k])))
         np.testing.assert_array_equal(batch[k], expect)
 
     sync = FrameConfig(m=5, p=2, tau_max=0.0)
     seg = rng.integers(0, 2, size=sync.segment_bits, dtype=np.uint8)
     np.testing.assert_array_equal(
         segment_pair_bits(seg[None], sync, np.array([False]))[0],
-        pair_to_bits(segment_pair(seg, sync, False)),
+        pair_to_bits(*segment_pair(seg, sync, False)),
     )
     with pytest.raises(ValueError):
         segment_pair_bits(seg[None], sync, np.array([True]))  # single-copy scheme
@@ -219,9 +247,9 @@ def test_draw_messages():
     # primary slot from the first p segment bits, secondary through the translate
     for k in range(50):
         for j in range(cfg.n_subblocks):
-            primary = bits_to_int(segs[k, j, : cfg.p])
+            primary = bits_value(segs[k, j, : cfg.p])
             assert slots[k, j, 0] == primary
-            assert slots[k, j, 1] == primary ^ bits_to_int(segs[k, j, cfg.p : 2 * cfg.p])
+            assert slots[k, j, 1] == primary ^ bits_value(segs[k, j, cfg.p : 2 * cfg.p])
     # zero-translate payloads were redrawn whole: every sub-block's two copies
     # land in distinct slots
     assert (slots[:, :, 0] != slots[:, :, 1]).all()
@@ -297,8 +325,48 @@ def test_decode_frame_cross_slot_cancellation():
 
 
 def _one_device_slot(pair, h, delta):
-    X = rm_samples(pair.P, pair.b)[None]
+    X = rm_samples(*pair)[None]
     return synthesize_slot(X, np.asarray(h)[None], np.array([delta]), gamma=1.0)
+
+
+def test_decode_frame_queues_the_other_copys_pair(monkeypatch):
+    """The pair decode_frame queues for cancellation in a message's other
+    slot is the pair segment_pair_bits builds for that copy: the secondary
+    copy when the primary slot comes first, the primary one otherwise."""
+    frame = FrameConfig(m=4, p=2, d=0)
+    detect, reconstruct = slot_detector.detect_slot, slot_detector.reconstruct_signal
+    inside_detect, queued = [], []
+
+    def spy_detect(Y, cfg):
+        inside_detect.append(True)
+        try:
+            return detect(Y, cfg)
+        finally:
+            inside_detect.pop()
+
+    def spy_reconstruct(P, b, h, delta):
+        if not inside_detect:  # not the detector's own cancellation
+            queued.append((P.copy(), b.copy()))
+        return reconstruct(P, b, h, delta)
+
+    monkeypatch.setattr(slot_detector, "detect_slot", spy_detect)
+    monkeypatch.setattr(slot_detector, "reconstruct_signal", spy_reconstruct)
+    rng = np.random.default_rng(2)
+    orders = set()
+    for _ in range(8):
+        msg = _rows(draw_messages(frame, rng, 1))[0]
+        primary_first = bool(msg[2][0, 0] < msg[2][0, 1])
+        orders.add(primary_first)
+        pop = _population([msg], [[1.0, 0.5j]], [0.3])
+        obs = frame_observations(pop, frame, NOISELESS, noise_on=False)
+        queued.clear()
+        out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
+        np.testing.assert_array_equal(out.messages[0], msg[0])
+        Ps, bs = bits_to_pair_batch(segment_pair_bits(msg[1][0][None], frame, [primary_first]))
+        assert len(queued) == 1
+        np.testing.assert_array_equal(queued[0][0], Ps[0])
+        np.testing.assert_array_equal(queued[0][1], bs[0])
+    assert orders == {True, False}
 
 
 def test_decode_frame_secondary_copy_alone_recovers():

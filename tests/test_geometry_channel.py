@@ -277,8 +277,7 @@ def test_frame_observations_matches_manual_superposition():
         for j in range(frame.n_subblocks):
             seg = pop.segments[k, j]
             for c in range(frame.copies):
-                pair = segment_pair(seg, frame, c == 1)
-                X = rm_samples(pair.P, pair.b)
+                X = rm_samples(*segment_pair(seg, frame, c == 1))
                 slot = int(pop.slots[k, j, c])
                 expected[j, slot] += math.sqrt(geo.gamma) * np.outer(pop.h[k], X * ramp)
     np.testing.assert_allclose(got, expected, atol=1e-10)

@@ -11,9 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
 from rmaccess.rm_codec import (
-    RmPair,
     binary_index,
-    bits_to_int,
     bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
@@ -22,9 +20,11 @@ from rmaccess.rm_codec import (
     walsh_factor,
     wht,
 )
+from rmaccess.slot_detector import reconstruct_signal
 from oracles import (
     async_layout,
     bit_table_walsh_factor,
+    bits_value,
     einsum_samples_batch,
     pair_from_bits,
     radix2_wht,
@@ -48,7 +48,7 @@ def random_pair(rng, m):
     P = np.triu(P)
     P = np.maximum(P, P.T)
     b = rng.integers(0, 2, size=m, dtype=np.uint8)
-    return RmPair(P, b)
+    return P, b
 
 
 def test_binary_index_examples():
@@ -62,12 +62,12 @@ def test_binary_index_examples():
         binary_index(-1, 2)
 
 
-def test_bits_to_int_inverts_binary_index():
+def test_binary_index_reads_back_msb_first():
     rng = np.random.default_rng(0)
     for _ in range(200):
         s = int(rng.integers(1, 12))
         n = int(rng.integers(0, 1 << s))
-        assert bits_to_int(binary_index(n, s)) == n
+        assert bits_value(binary_index(n, s)) == n
 
 
 def test_sequences_by_hand():
@@ -90,14 +90,13 @@ def test_samples_match_reference():
     rng = np.random.default_rng(1)
     for _ in range(50):
         m = int(rng.integers(1, 7))
-        pair = random_pair(rng, m)
-        np.testing.assert_array_equal(rm_samples(pair.P, pair.b), reference_samples(pair.P, pair.b))
+        P, b = random_pair(rng, m)
+        np.testing.assert_array_equal(rm_samples(P, b), reference_samples(P, b))
 
 
 def test_samples_alphabet_and_codeword():
     rng = np.random.default_rng(2)
-    pair = random_pair(rng, 5)
-    word = rm_samples(pair.P, pair.b)
+    word = rm_samples(*random_pair(rng, 5))
     assert word.shape == (32,) and word.dtype == np.complex128
     assert set(word.tolist()) <= {1, -1, 1j, -1j}
 
@@ -105,11 +104,11 @@ def test_samples_alphabet_and_codeword():
 def test_rm_samples_batch_matches_single():
     rng = np.random.default_rng(3)
     pairs = [random_pair(rng, 5) for _ in range(20)]
-    Ps = np.stack([p.P for p in pairs])
-    bs = np.stack([p.b for p in pairs])
+    Ps = np.stack([P for P, _ in pairs])
+    bs = np.stack([b for _, b in pairs])
     batch = rm_samples_batch(Ps, bs)
-    for k, pair in enumerate(pairs):
-        np.testing.assert_array_equal(batch[k], rm_samples(pair.P, pair.b))
+    for k, (P, b) in enumerate(pairs):
+        np.testing.assert_array_equal(batch[k], rm_samples(P, b))
 
 
 @st.composite
@@ -185,11 +184,11 @@ def test_layer_recursion_identity():
     rng = np.random.default_rng(4)
     for _ in range(300):
         m = int(rng.integers(2, 9))
-        pair = random_pair(rng, m)
+        P, b = random_pair(rng, m)
         for s in range(2, m + 1):
-            X = rm_samples(pair.P[:s, :s], pair.b[:s])
-            X_half = rm_samples(pair.P[: s - 1, : s - 1], pair.b[: s - 1])
-            V = walsh_factor(pair.P[: s - 1, s - 1], pair.b[s - 1], pair.P[s - 1, s - 1])
+            X = rm_samples(P[:s, :s], b[:s])
+            X_half = rm_samples(P[: s - 1, : s - 1], b[: s - 1])
+            V = walsh_factor(bits_value(P[: s - 1, s - 1]), s - 1, b[s - 1], P[s - 1, s - 1])
             np.testing.assert_array_equal(X[0::2], X_half)
             np.testing.assert_array_equal(X[1::2], V * X_half)
 
@@ -256,51 +255,66 @@ def test_walsh_factor_matches_bit_table_definition(eta):
     for b_bit in (0, 1):
         for beta_bit in (0, 1):
             np.testing.assert_array_equal(
-                walsh_factor(eta, b_bit, beta_bit), bit_table_walsh_factor(eta, b_bit, beta_bit)
+                walsh_factor(bits_value(eta), eta.size, b_bit, beta_bit),
+                bit_table_walsh_factor(eta, b_bit, beta_bit),
             )
 
 
 def test_walsh_factor_rejects_non_bits():
-    # a Walsh frequency is a vector of bits
-    for eta in ([0, 2], [[1, 0]], [-1]):
-        with pytest.raises(ValueError):
-            walsh_factor(eta, 0, 0)
-    with pytest.raises(ValueError, match="0 or 1"):
-        bits_to_int(np.array([1, 3]))
+    # the frequency must be a width-bit integer and b, beta single bits
+    for freq, width in ((4, 2), (-1, 2), (0, -1)):
+        with pytest.raises(ValueError, match="Walsh frequency"):
+            walsh_factor(freq, width, 0, 0)
+    for b_bit, beta_bit in ((2, 0), (0, -1), (0.5, 0)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            walsh_factor(1, 2, b_bit, beta_bit)
 
 
 def test_walsh_factor_transform_peak():
-    # a Walsh function of frequency eta transforms to a single spike at eta
+    # a Walsh function of frequency freq transforms to a single spike at
+    # index freq, the peak index the detector reads as the frequency
     rng = np.random.default_rng(8)
     for _ in range(30):
         width = int(rng.integers(1, 7))
-        eta = rng.integers(0, 2, size=width, dtype=np.int64)
-        V = walsh_factor(eta, 0, 0)
-        t = wht(V)
-        idx = int(np.argmax(np.abs(t)))
-        assert binary_index(idx, width).tolist() == eta.tolist()
-        assert abs(t[idx] - (1 << width)) < 1e-12
+        freq = int(rng.integers(0, 1 << width))
+        t = wht(walsh_factor(freq, width, 0, 0))
+        assert int(np.argmax(np.abs(t))) == freq
+        assert abs(t[freq] - (1 << width)) < 1e-12
 
 
 def one_pair(bits):
-    """bits_to_pair_batch of one canonical bit string, as a pair."""
+    """bits_to_pair_batch of one canonical bit string: (P, b)."""
     Ps, bs = bits_to_pair_batch(np.asarray(bits)[None])
-    return RmPair(Ps[0], bs[0])
+    return Ps[0], bs[0]
 
 
 def test_pair_bits_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(100):
         m = int(rng.integers(1, 8))
-        pair = random_pair(rng, m)
-        bits = pair_to_bits(pair)
-        assert bits.size == m * (m + 3) // 2
-        assert one_pair(bits) == pair
+        P, b = random_pair(rng, m)
+        bits = pair_to_bits(P, b)
+        assert bits.shape == (m * (m + 3) // 2,)
+        P2, b2 = one_pair(bits)
+        np.testing.assert_array_equal(P2, P)
+        np.testing.assert_array_equal(b2, b)
     # and the other direction, bits first
     for _ in range(100):
         m = int(rng.integers(1, 8))
         bits = rng.integers(0, 2, size=m * (m + 3) // 2, dtype=np.uint8)
-        np.testing.assert_array_equal(pair_to_bits(one_pair(bits)), bits)
+        np.testing.assert_array_equal(pair_to_bits(*one_pair(bits)), bits)
+
+
+def test_pair_to_bits_inverts_bits_to_pair_batch_on_stacks():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 5, 9):
+        mat = rng.integers(0, 2, size=(6, m * (m + 3) // 2), dtype=np.uint8)
+        Ps, bs = bits_to_pair_batch(mat)
+        np.testing.assert_array_equal(pair_to_bits(Ps, bs), mat)
+        # any leading shape, row for row
+        stacked = pair_to_bits(Ps.reshape(2, 3, m, m), bs.reshape(2, 3, m))
+        np.testing.assert_array_equal(stacked, mat.reshape(2, 3, -1))
+        assert pair_to_bits(Ps[:0], bs[:0]).shape == (0, mat.shape[1])
 
 
 def test_bits_to_pair_batch_matches_single():
@@ -309,9 +323,9 @@ def test_bits_to_pair_batch_matches_single():
     mat = rng.integers(0, 2, size=(15, 5 * 8 // 2), dtype=np.uint8)
     Ps, bs = bits_to_pair_batch(mat)
     for k in range(15):
-        single = pair_from_bits(mat[k])
-        np.testing.assert_array_equal(Ps[k], single.P)
-        np.testing.assert_array_equal(bs[k], single.b)
+        P, b = pair_from_bits(mat[k])
+        np.testing.assert_array_equal(Ps[k], P)
+        np.testing.assert_array_equal(bs[k], b)
 
 
 def test_bits_to_pair_rejects_bad_length():
@@ -322,12 +336,27 @@ def test_bits_to_pair_rejects_bad_length():
 
 
 def test_pair_validation():
-    with pytest.raises(ValueError):
-        RmPair(np.array([[0, 1], [0, 0]]), np.zeros(2, np.uint8))  # asymmetric
-    with pytest.raises(ValueError):
-        RmPair(np.array([[2]]), np.array([0]))  # non-binary
-    with pytest.raises(ValueError):
-        RmPair(np.zeros((2, 2), np.uint8), np.zeros(3, np.uint8))  # shape clash
+    """Every function that takes a pair (P, b) refuses an asymmetric P,
+    entries other than 0 and 1, and shapes that disagree."""
+    bad_pairs = [
+        (np.array([[0, 1], [0, 0]]), np.zeros(2, np.uint8), "symmetric"),
+        (np.array([[2]]), np.array([0]), "0 or 1"),
+        (np.array([[0]]), np.array([256]), "0 or 1"),
+        (np.array([[0.5]]), np.array([1.0]), "0 or 1"),
+        (np.zeros((2, 2), np.uint8), np.zeros(3, np.uint8), "expected"),
+        (np.zeros((2, 2, 2), np.uint8), np.zeros((3, 2), np.uint8), "expected"),
+        (np.zeros((0, 0), np.uint8), np.zeros(0, np.uint8), "m >= 1"),
+    ]
+    takers = [
+        pair_to_bits,
+        rm_samples,
+        lambda P, b: unpack_bits(P, b, np.arange(2)),
+        lambda P, b: reconstruct_signal(P, b, np.ones(2), 0.1),
+    ]
+    for P, b, match in bad_pairs:
+        for take in takers:
+            with pytest.raises(ValueError, match=match):
+                take(P, b)
 
 
 def test_async_layout_partitions_all_positions():
@@ -381,16 +410,15 @@ def frames_and_segments(draw):
 @settings(max_examples=80, deadline=None)
 @given(frames_and_segments())
 def test_pack_unpack_round_trip(case):
-    """segment_pair_bits -> bits_to_pair_batch -> RmPair -> unpack_bits and
-    the check bit give back every tail and flag exactly; the two copies of
-    a segment differ only at check_pos."""
+    """segment_pair_bits -> bits_to_pair_batch -> unpack_bits and the check
+    bit give back every tail and flag exactly; the two copies of a segment
+    differ only at check_pos."""
     frame, segments, secondary = case
     bits = segment_pair_bits(segments, frame, secondary)
     for row, (P, b) in enumerate(zip(*bits_to_pair_batch(bits))):
-        pair = RmPair(P, b)
-        tail = unpack_bits(pair, frame.pair_positions)
+        tail = unpack_bits(P, b, frame.pair_positions)
         np.testing.assert_array_equal(tail, segments[row, frame.p :])
-        flag = frame.check_pos is not None and bool(pair.b[frame.check_pos])
+        flag = frame.check_pos is not None and bool(b[frame.check_pos])
         assert flag == secondary[row]
     if frame.check_pos is not None:
         diff = segment_pair_bits(segments, frame, ~secondary) != bits
@@ -417,10 +445,9 @@ def test_pack_exhaustive_small_layout():
     for sec in (False, True):
         bits = segment_pair_bits(segments, frame, np.full(len(tails), sec))
         for val, (P, b) in enumerate(zip(*bits_to_pair_batch(bits))):
-            pair = RmPair(P, b)
-            seen.add(pair.key())
-            assert bits_to_int(unpack_bits(pair, frame.pair_positions)) == val
-            assert bool(pair.b[frame.check_pos]) == sec
+            seen.add(pair_to_bits(P, b).tobytes())
+            assert bits_value(unpack_bits(P, b, frame.pair_positions)) == val
+            assert bool(b[frame.check_pos]) == sec
     assert len(seen) == (1 << n_tail) * 2
 
 

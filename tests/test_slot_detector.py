@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from oracles import einsum_samples_batch, segment_pair
 from rmaccess import slot_detector
-from rmaccess.access_pipeline import FrameConfig, _flip_check
+from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
 from rmaccess.geometry_channel import expected_neighbors, synthesize_slot
-from rmaccess.rm_codec import RmPair, rm_samples, walsh_factor
+from rmaccess.rm_codec import bits_to_pair_batch, rm_samples, walsh_factor
 from rmaccess.sim_cli import ExperimentSpec
 from rmaccess.slot_detector import (
+    Detection,
     DetectorConfig,
     correlate_layer,
     decode_polarity,
@@ -36,20 +37,25 @@ def wrap(x):
 
 
 def slot_of(pairs, h, delta, gamma=1.0):
-    """Noise-free slot carrying the given pairs over channels h (k, r) with
-    delays (k,)."""
-    X = np.stack([rm_samples(pair.P, pair.b) for pair in pairs])
+    """Noise-free slot carrying the given (P, b) pairs over channels h (k, r)
+    with delays (k,)."""
+    X = np.stack([rm_samples(P, b) for P, b in pairs])
     return synthesize_slot(X, np.asarray(h), np.asarray(delta, dtype=float), gamma)
 
 
 def transmit_pair(rng, m, p=1):
-    """Primary pair of a segment with slot 0, translate 1 followed by zeros
-    and a random payload."""
+    """Primary pair (P, b) of a segment with slot 0, translate 1 followed by
+    zeros and a random payload."""
     frame = FrameConfig(m, p)
     segment = np.zeros(frame.segment_bits, np.uint8)
     segment[p] = 1
     segment[2 * p :] = rng.integers(0, 2, size=frame.segment_bits - 2 * p, dtype=np.uint8)
     return segment_pair(segment, frame)
+
+
+def found(det, pair):
+    """Whether a detection carries exactly the pair (P, b)."""
+    return np.array_equal(det.P, pair[0]) and np.array_equal(det.b, pair[1])
 
 
 def test_detector_config_validation():
@@ -112,12 +118,13 @@ def test_correlate_layer_by_hand():
 
 
 def test_peak_search_examples_and_ties():
-    bits, peak = peak_search(np.array([2.0, 0.0]))
-    assert bits.tolist() == [0] and peak == 2.0
-    bits, peak = peak_search(np.array([0.0, -2.0j]))
-    assert bits.tolist() == [1] and peak == -2.0j
-    bits, _ = peak_search(np.array([3.0, 3.0, 1.0, 0.0]))  # tie toward index 0
-    assert bits.tolist() == [0, 0]
+    # the peak index is the Walsh frequency, an int
+    freq, peak = peak_search(np.array([2.0, 0.0]))
+    assert freq == 0 and type(freq) is int and peak == 2.0
+    freq, peak = peak_search(np.array([0.0, -2.0j]))
+    assert freq == 1 and peak == -2.0j
+    freq, _ = peak_search(np.array([1.0, 0.0, 3.0, -3.0]))  # tie toward the smaller index
+    assert freq == 0b10
     with pytest.raises(ValueError):
         peak_search(np.array([1.0, 2.0, 3.0]))
 
@@ -145,7 +152,7 @@ def test_decode_polarity_extracts_residual_phase():
 def test_fold_layer_matches_pointwise_formula():
     rng = np.random.default_rng(50)
     Y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    V = walsh_factor(np.array([1, 0]), 1, 0)
+    V = walsh_factor(0b10, 2, 1, 0)
     d = 0.37
     out = fold_layer(Y, V, d)
     for l in range(3):
@@ -159,7 +166,7 @@ def test_fold_layer_matches_pointwise_formula():
 def test_fold_layer_halves_noise_variance():
     rng = np.random.default_rng(51)
     Y = (rng.standard_normal((5000, 16)) + 1j * rng.standard_normal((5000, 16))) / math.sqrt(2)
-    V = walsh_factor(np.array([0, 1, 1]), 0, 1)
+    V = walsh_factor(0b011, 3, 0, 1)
     out = fold_layer(Y, V, 1.2)
     assert np.mean(np.abs(out) ** 2) == pytest.approx(0.5, rel=0.05)
 
@@ -291,37 +298,33 @@ def test_reconstruct_and_cancel():
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     delta = -0.8
     Y = slot_of([pair], [h], [delta])
-    rebuilt = reconstruct_signal(pair, h, delta)
+    rebuilt = reconstruct_signal(*pair, h, delta)
     np.testing.assert_allclose(rebuilt, Y, atol=1e-12)
 
     # cancelling the detector's own estimate leaves nothing behind
     det = detect_slot(Y, DetectorConfig(k_max=1, eps=1e-9))[0]
-    residual = Y - reconstruct_signal(det.pair, det.h_hat, det.delta_hat)
+    residual = Y - reconstruct_signal(det.P, det.b, det.h_hat, det.delta_hat)
     assert np.linalg.norm(residual) < 1e-9
 
 
 def test_reconstruct_signal_matches_einsum_oracle():
     """Bit for bit against outer(h, X e**(-i delta n)) with X from the
-    quadratic form, at m = 2..14: a random pair, a transmit pair, and the
-    transmit pair's other copy as decode_frame queues it for cancellation."""
+    quadratic form, at m = 2..14: a random pair and both copies of a
+    transmit pair as the batch encoder builds them."""
     rng = np.random.default_rng(54)
     for m in range(2, 15):
         upper = np.triu(rng.integers(0, 2, size=(m, m), dtype=np.uint8))
         frame = FrameConfig(m, 1)
         payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
         segment = np.concatenate([[0, 1], payload])
-        primary = segment_pair(segment, frame)
-        other = _flip_check(primary, frame.check_pos)
-        assert other == segment_pair(segment, frame, secondary=True)
-        random_pair = RmPair(upper | upper.T, rng.integers(0, 2, size=m, dtype=np.uint8))
-        for pair in (random_pair, primary, other):
+        Ps, bs = bits_to_pair_batch(segment_pair_bits(np.stack([segment] * 2), frame, [0, 1]))
+        random_pair = (upper | upper.T, rng.integers(0, 2, size=m, dtype=np.uint8))
+        for P, b in (random_pair, (Ps[0], bs[0]), (Ps[1], bs[1])):
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             delta = float(rng.uniform(-math.pi, math.pi))
-            X = einsum_samples_batch(pair.P[None], pair.b[None])[0]
+            X = einsum_samples_batch(P[None], b[None])[0]
             ramp = np.exp(-1j * delta * np.arange(1, X.size + 1))
-            np.testing.assert_array_equal(
-                reconstruct_signal(pair, h, delta), np.outer(h, X * ramp)
-            )
+            np.testing.assert_array_equal(reconstruct_signal(P, b, h, delta), np.outer(h, X * ramp))
 
 
 def test_single_device_noiseless_round_trip():
@@ -334,7 +337,7 @@ def test_single_device_noiseless_round_trip():
         dets = detect_slot(Y, DetectorConfig(k_max=3, eps=1e-9))
         assert len(dets) == 1
         det = dets[0]
-        assert det.pair == pair
+        assert found(det, pair)
         assert abs(wrap(det.delta_hat - delta)) <= 1e-6
         scale = math.sqrt(2.0)
         assert np.linalg.norm(det.h_hat - scale * h) <= 1e-9 * np.linalg.norm(scale * h)
@@ -351,9 +354,8 @@ def test_two_devices_noiseless():
         pairs.append(transmit_pair(rng, 6, p=2))
         hs.append(scale * np.exp(1j * rng.uniform(0, 2 * math.pi, 16)))
     dets = detect_slot(slot_of(pairs, hs, [0.3, -1.1]), DetectorConfig(k_max=6, eps=1e-6))
-    found = [d.pair for d in dets]
-    assert pairs[0] in found and pairs[1] in found
-    assert dets[0].pair == pairs[0]  # strongest first
+    assert any(found(d, pairs[1]) for d in dets)
+    assert found(dets[0], pairs[0])  # strongest first
     residuals = [d.residual_before for d in dets] + [dets[-1].residual_after]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
     # cross terms keep the estimates from being exact, but cancellation still
@@ -370,7 +372,7 @@ def test_synchronous_mode_decodes_top_layer_as_data():
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     cfg = DetectorConfig(k_max=2, eps=1e-9, estimate_delay=False)
     det = detect_slot(slot_of([pair], [h], [0.0]), cfg)[0]
-    assert det.pair == pair
+    assert found(det, pair)
     assert det.delta_hat == 0.0
     assert not det.delta_components.any()
     np.testing.assert_allclose(det.h_hat, h, atol=1e-10)
@@ -424,7 +426,7 @@ def test_detect_slot_takes_any_memory_layout():
     expected = detect_slot(Y, cfg)
     for layout in (np.asfortranarray(Y), np.repeat(Y, 2, axis=1)[:, ::2], Y.astype(np.complex64)):
         got = detect_slot(layout, cfg)
-        assert [d.pair for d in got] == [pair]
+        assert len(got) == 1 and found(got[0], pair)
         if layout.dtype == Y.dtype:
             assert got[0].residual_after == expected[0].residual_after
 
@@ -437,6 +439,22 @@ def test_detect_slot_does_not_mutate_input():
     before = Y.copy()
     detect_slot(Y, DetectorConfig(k_max=2, eps=1e-9))
     np.testing.assert_array_equal(Y, before)
+
+
+def test_detection_arrays_are_read_only():
+    rng = np.random.default_rng(60)
+    pair = transmit_pair(rng, 4)
+    Y = slot_of([pair], [np.array([1.0, 0.5j])], [0.1])
+    det = detect_slot(Y, DetectorConfig(k_max=1, eps=1e-9))[0]
+    assert det.P.dtype == det.b.dtype == np.uint8
+    for arr in (det.P, det.b, det.h_hat, det.delta_components):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        det.P[0, 0] ^= 1
+    with pytest.raises(ValueError):
+        det.b[0] ^= 1
+    with pytest.raises(ValueError, match="0 or 1"):
+        Detection(np.array([[2]]), np.array([0]), np.ones(1), 0.0, np.zeros(1), 1.0, 0.5, 1)
 
 
 _BLAS_PROBE = """
@@ -457,7 +475,7 @@ X = rm_samples_batch(*bits_to_pair_batch(segment_pair_bits(np.stack(segments), f
 Y = synthesize_slot(X, np.stack(h), np.array([0.4, -1.3]), gamma=1.0)
 Y = Y + 0.1 * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
 for det in detect_slot(Y, DetectorConfig(k_max=3, eps=0.0)):
-    print(det.pair.P.tobytes().hex(), det.pair.b.tobytes().hex(), det.h_hat.tobytes().hex(),
+    print(det.P.tobytes().hex(), det.b.tobytes().hex(), det.h_hat.tobytes().hex(),
           det.delta_hat.hex(), det.residual_before.hex(), det.residual_after.hex())
 """
 
