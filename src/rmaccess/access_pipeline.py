@@ -445,9 +445,11 @@ def error_metrics(decoded: Sequence[np.ndarray], truth: Sequence[np.ndarray]) ->
     miss = |truth \\ decoded| / |truth| (None when there is no ground truth),
     false alarm = |decoded \\ truth| / |decoded| (0 for an empty output, by
     convention; the decoded_count field lets callers see that case).
+    Messages are checked through as_bits, so an entry other than 0 or 1
+    raises ValueError instead of wrapping to a bit.
     """
-    decoded_set = {np.asarray(x, dtype=np.uint8).tobytes() for x in decoded}
-    truth_set = {np.asarray(x, dtype=np.uint8).tobytes() for x in truth}
+    decoded_set = {as_bits(x).tobytes() for x in decoded}
+    truth_set = {as_bits(x).tobytes() for x in truth}
     false_alarm = len(decoded_set - truth_set) / len(decoded_set) if decoded_set else 0.0
     miss = len(truth_set - decoded_set) / len(truth_set) if truth_set else None
     return ErrorMetrics(miss, false_alarm, len(truth_set), len(decoded_set))

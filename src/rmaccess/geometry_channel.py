@@ -18,10 +18,12 @@ Slot observations live in the post-DFT frequency domain,
 
 with n = 1..N one-based, Delta_k = 2 pi delta_f tau_k the normalized delay
 and Z unit-variance circular Gaussian.  synthesize_slot is the one kernel
-for the signal sum; frame_observations draws Z up front and calls it per
-slot group.  The tests pin the model down against an oracle that rebuilds
-the noise-free observation the long way (continuous-time waveform,
-sampling, prefix discard, DFT).
+for the signal sum, a (r, k) by (k, N) complex product per slot group taken
+through BLAS in fixed blocks of devices, so Y does not depend on the BLAS
+thread count; frame_observations draws Z up front and calls it per slot
+group.  The tests pin the model down against an oracle that rebuilds the
+noise-free observation the long way (continuous-time waveform, sampling,
+prefix discard, DFT).
 
 The normalized delay is drawn uniform on [-pi, pi); the seconds-valued tau
 is derived from it and clamped to [0, tau_max], so the frequency-domain
@@ -197,17 +199,34 @@ def _check_stack(X: np.ndarray, h: np.ndarray, delay: np.ndarray) -> None:
         )
 
 
+# Devices per BLAS product in synthesize_slot.  How OpenBLAS blocks a
+# complex product's inner (device) dimension depends on its thread count
+# once that dimension passes about 128, so one product over a whole slot
+# group can sum in an order, and round to bits, that depend on
+# OPENBLAS_NUM_THREADS.  Products over at most 127 devices came out the same
+# at 1, 2 and 4 threads for r in (1, 2, 4, 16) and N in (64, 1024); some
+# over 130 did not.
+_DEVICE_BLOCK = 64
+
+
 def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: float) -> np.ndarray:
     """Noise-free post-DFT observation of one slot, (r, n).
 
     X (k, n) holds the transmitted codeword samples, h (k, r) their channels
     and delta (k,) their normalized delays; the result is
-    sqrt(gamma) * einsum("kl,kn->ln", h, X * e**(-i delta n)), n = 1..N.
+    sqrt(gamma) * sum_k h[k, :, None] * X[k] * e**(-i delta[k] n), n = 1..N.
+    All-zero delays skip the ramp (e**0 = 1 exactly).  The device sum is one
+    BLAS product per block of _DEVICE_BLOCK devices, accumulated in device
+    order, so the result does not depend on the BLAS thread count.
     """
     X, h, delta = np.asarray(X), np.asarray(h), np.asarray(delta)
     _check_stack(X, h, delta)
-    X = X * np.exp(-1j * np.outer(delta, np.arange(1, X.shape[1] + 1)))
-    return math.sqrt(gamma) * np.einsum("kl,kn->ln", h, X)
+    if delta.any():
+        X = X * np.exp(-1j * np.outer(delta, np.arange(1, X.shape[1] + 1)))
+    Y = np.zeros((h.shape[1], X.shape[1]), dtype=np.complex128)
+    for s in range(0, len(X), _DEVICE_BLOCK):
+        Y += h[s : s + _DEVICE_BLOCK].T @ X[s : s + _DEVICE_BLOCK]
+    return math.sqrt(gamma) * Y
 
 
 def frame_observations(
@@ -259,7 +278,7 @@ def frame_observations(
                 order = np.argsort(landed, kind="stable")
                 starts = np.flatnonzero(np.diff(landed[order])) + 1
                 for sel in np.split(order, starts):
-                    # codewords passed inline: the kernel frees them once ramped
+                    # codewords passed inline, so a ramping kernel can free them
                     Y[j, landed[sel[0]]] += synthesize_slot(
                         rm_samples_batch(Ps[sel, j], bs[sel, j]), pop.h[sel], pop.delta[sel], gamma
                     )

@@ -59,10 +59,14 @@ def as_bits(values) -> np.ndarray:
     """values as a uint8 array, rejecting any entry other than 0 and 1.
 
     The check comes before the cast: uint8 would wrap 256 to 0 and truncate
-    0.5 to 0.
+    0.5 to 0.  Integer input takes one range check (two when signed).
     """
     arr = np.asarray(values)
-    if (arr.astype(bool) != arr).any():
+    if arr.dtype.kind in "iu":
+        bad = (arr > 1).any() or (arr.dtype.kind == "i" and (arr < 0).any())
+    else:
+        bad = (arr.astype(bool) != arr).any()
+    if bad:
         raise ValueError("bit entries must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
 

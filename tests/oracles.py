@@ -1,9 +1,10 @@
 """Slow reference implementations the tests check the package against: the
 Reed-Muller quadratic form evaluated over a table of bit vectors, the Walsh
 factor from its definition, the Walsh-Hadamard transform as radix-2
-butterflies, the noise-free slot built through the time domain, and the
-segment layout written out field by field with a one-pair encoder on it.
-A pair is a tuple (P, b) of uint8 arrays, as the package carries it."""
+butterflies, the noise-free slot built through the time domain and as one
+unblocked einsum, and the segment layout written out field by field with a
+one-pair encoder on it.  A pair is a tuple (P, b) of uint8 arrays, as the
+package carries it."""
 
 import math
 
@@ -105,6 +106,16 @@ def time_domain_reference(
     retained = math.sqrt(gamma) * np.einsum("kl,ku->lu", h, waves)[:, m_cp:]
     kernel = np.exp(-2j * math.pi * np.outer(n_idx, u[m_cp:]) / n) / n
     return retained @ kernel.T
+
+
+def einsum_synthesis(X, h, delta, gamma):
+    """Noise-free observation of one slot as one einsum over all devices,
+    sqrt(gamma) * einsum("kl,kn->ln", h, X * e**(-i delta n)), n = 1..N,
+    with the ramp evaluated even for zero delays."""
+    X, h, delta = np.asarray(X), np.asarray(h), np.asarray(delta)
+    _check_stack(X, h, delta)
+    X = X * np.exp(-1j * np.outer(delta, np.arange(1, X.shape[1] + 1)))
+    return math.sqrt(gamma) * np.einsum("kl,kn->ln", h, X)
 
 
 def async_layout(m, p):

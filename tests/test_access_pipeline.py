@@ -475,3 +475,13 @@ def test_error_metrics_conventions():
     # duplicates collapse, bit strings compare by content
     m = error_metrics([a, a.copy()], [a])
     assert m.miss_rate == 0.0 and m.false_alarm_rate == 0.0 and m.decoded_count == 1
+
+
+def test_error_metrics_rejects_non_bits():
+    # uint8 casts would wrap 256 to 0 and truncate 0.5 to 0, scoring a hit
+    a = np.array([0, 1], dtype=np.uint8)
+    for bad in ([256, 1], [0.5, 1], [2, 1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            error_metrics([np.array(bad)], [a])
+        with pytest.raises(ValueError, match="0 or 1"):
+            error_metrics([a], [np.array(bad)])

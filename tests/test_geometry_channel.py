@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
-from oracles import segment_pair, time_domain_reference
+from oracles import einsum_synthesis, segment_pair, time_domain_reference
 from rmaccess.access_pipeline import FrameConfig, draw_messages, segment_pair_bits
 from rmaccess.geometry_channel import (
     GeometryConfig,
@@ -239,6 +239,21 @@ def test_synthesize_slot_matches_pointwise_formula():
             assert abs(Y[l, nn] - expect) < 1e-12
 
 
+@pytest.mark.parametrize("m", [6, 10])
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 200, 1000])
+def test_synthesize_slot_matches_einsum_formula(k, m):
+    """Device blocks of every fill, with random and with all-zero delays
+    (where the kernel skips the ramp), against the unblocked einsum."""
+    rng = np.random.default_rng(1000 * m + k)
+    X = _random_codewords(rng, m, k)
+    h = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+    for delta in (rng.uniform(-math.pi, math.pi, size=k), np.zeros(k)):
+        Y = synthesize_slot(X, h, delta, gamma=2.5)
+        expected = einsum_synthesis(X, h, delta, gamma=2.5)
+        assert Y.shape == expected.shape == (4, 2**m)
+        assert np.abs(Y - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_synthesize_slot_empty_and_mismatched_k():
     empty = synthesize_slot(np.zeros((0, 16)), np.zeros((0, 3)), np.zeros(0), gamma=1.0)
     assert empty.shape == (3, 16) and not empty.any()
@@ -298,26 +313,23 @@ def test_frame_observations_noise_is_additive_and_seeded():
 
 
 def mask_loop_observations(pop, frame, cfg, rng):
-    # whole-population codewords and ramps, then one boolean mask per landed
-    # slot: the synthesis loop frame_observations replaced
+    # whole-population codewords, then one boolean mask per landed slot,
+    # each through synthesize_slot: the grouping frame_observations replaced
     r, n = cfg.r, frame.seq_len
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
     shape = (n_sub, n_slots, r, n)
     Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     k = len(pop)
     if k:
-        ramp = np.exp(-1j * np.outer(pop.delta, np.arange(1, n + 1)))
         flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
-        amp = math.sqrt(cfg.gamma)
         for c in range(frame.copies):
             bits = segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1))
             X = rm_samples_batch(*bits_to_pair_batch(bits)).reshape(k, n_sub, n)
-            X = X * ramp[:, None, :]
             for j in range(n_sub):
                 landed = pop.slots[:, j, c]
                 for i in np.unique(landed):
                     sel = landed == i
-                    Y[j, i] += amp * np.einsum("kl,kn->ln", pop.h[sel], X[sel, j])
+                    Y[j, i] += synthesize_slot(X[sel, j], pop.h[sel], pop.delta[sel], cfg.gamma)
     return Y
 
 
@@ -354,6 +366,32 @@ def test_frame_observations_exact_with_empty_slots():
     assert len(np.unique(pop.slots[:, 0, :])) < frame.n_slots  # some slot stays empty
     _assert_matches_mask_loop(pop, frame, geo)
     _assert_matches_mask_loop(sample_frame(geo, frame, rng), frame, geo)  # no devices
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from rmaccess.access_pipeline import FrameConfig
+from rmaccess.geometry_channel import GeometryConfig, frame_observations, sample_frame
+
+geo = GeometryConfig(density=8e-3, area=100_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=16)
+for frame in (FrameConfig(m=10, p=2, tau_max=0.0), FrameConfig(m=6, p=2)):
+    rng = np.random.default_rng(59)
+    pop = sample_frame(geo, frame, rng)
+    for c in range(frame.copies):
+        assert np.bincount(pop.slots[:, 0, c], minlength=frame.n_slots).min() > 130
+    Y = frame_observations(pop, frame, geo, rng)
+    print(frame.m, hashlib.sha256(Y.tobytes()).hexdigest())
+"""
+
+
+def test_frame_observations_independent_of_blas_threads(blas_thread_outputs):
+    """Slot groups over 130 devices are long enough for OpenBLAS to block a
+    product's device sum by thread count; the observations must not depend
+    on that."""
+    outputs = blas_thread_outputs(_BLAS_PROBE)
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_time_domain_reference_equivalence():

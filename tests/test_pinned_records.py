@@ -1,10 +1,13 @@
 """The seeded RNG stream and trial records, pinned as literals.
 
-The digests and records below were produced by the per-device
+The population digests and records below were produced by the per-device
 implementation that stacked arrays replaced (one frozen object per device
-and per message).  A change that alters the draw order, the population
-arrays, the synthesized observations or the scored records fails here.
-The float digests assume IEEE float64 numpy kernels as on x86-64.
+and per message).  The observation digests come from the synthesis kernel's
+device-blocked BLAS products, which round differently from the einsum they
+replaced while every record stayed the same.  A change that alters the draw
+order, the population arrays, the synthesized observations or the scored
+records fails here.  The float digests assume IEEE float64 numpy kernels as
+on x86-64; they do not depend on the BLAS thread count.
 """
 
 import hashlib
@@ -41,15 +44,15 @@ def test_sample_frame_stream_is_pinned():
     [
         (
             FrameConfig(m=6, p=4, d=0),
-            "ec96bb3401071b17fb5dd8a31daf7b0e8e8e1a331a5e26865c0e415b4cf904b5",
+            "98a888241c90784dcc7037347ea5a1db2467ca761589e3c35356b8b02bbc722f",
         ),
         (
             FrameConfig(m=6, p=4, d=2),
-            "384ba4c1a9b2b1f0f028802acf345471390170dfebe38749afcf4b1339e5541f",
+            "a97e6c3ad2c2c52a12ec6379aacb81c2bff7ec982583cc9adccca1f258bef914",
         ),
         (
             FrameConfig(m=7, p=2, tau_max=0.0),
-            "1bab3798a46f934965e11eadb1977fdf7f5249790d684b43ada77597ec1190b7",
+            "f39115986aeb0d6408ae4b795c37a5dd615496f1a5347e857a73ce10bde2f5b5",
         ),
     ],
     ids=["async-d0", "async-d2", "sync"],

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
 from rmaccess.rm_codec import (
+    as_bits,
     binary_index,
     bits_to_pair_batch,
     pair_to_bits,
@@ -143,6 +144,33 @@ def test_rm_samples_batch_recursion_matches_einsum(stack):
     np.testing.assert_array_equal(batch, einsum_samples_batch(Ps, bs))
     for k in range(bs.shape[0]):
         np.testing.assert_array_equal(batch[k], rm_samples(Ps[k], bs[k]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([0, 256]),
+        np.array([256], np.uint16),
+        np.array([1, 2], np.uint8),
+        np.array([2], np.int8),
+        np.array([-1, 1]),
+        np.array([-1], np.int8),
+        np.array([0.5, 1.0]),
+        np.array([np.nan, 0.0]),
+    ],
+    ids=["256", "256-uint16", "2-uint8", "2-int8", "-1", "-1-int8", "0.5", "nan"],
+)
+def test_as_bits_rejects_non_bits(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        as_bits(bad)
+
+
+def test_as_bits_accepts_bits_of_any_dtype():
+    for bits in ([True, False], np.array([1, 0], np.int8), np.array([1, 0], np.uint64), [1.0, 0.0]):
+        got = as_bits(bits)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, [1, 0])
+    assert as_bits(np.zeros((0, 3), bool)).shape == (0, 3)
 
 
 def test_rm_samples_batch_rejects_non_binary_P():

@@ -2,10 +2,6 @@
 noiseless round trips through the full detect-and-cancel loop."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,20 +476,10 @@ for det in detect_slot(Y, DetectorConfig(k_max=3, eps=0.0)):
 """
 
 
-def test_detect_slot_independent_of_blas_threads():
+def test_detect_slot_independent_of_blas_threads(blas_thread_outputs):
     """An m = 11, r = 16 slot holds 32768 entries, enough for OpenBLAS to
     split a dot product across threads; detections and residual norms must
     not depend on that."""
-    import rmaccess
-
-    src = str(Path(rmaccess.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True
-        )
-        outputs.append(done.stdout)
+    outputs = blas_thread_outputs(_BLAS_PROBE)
     assert outputs[0].strip()
     assert outputs[0] == outputs[1]
