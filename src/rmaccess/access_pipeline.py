@@ -345,7 +345,6 @@ def decode_frame(
     observations: np.ndarray,
     det_cfg: DetectorConfig,
     cfg: FrameConfig,
-    path_cap: int = 1 << 14,
     power_floor: float | None = None,
 ) -> FrameDecodeResult:
     """Decode a whole frame of slot observations, an array of shape
@@ -414,7 +413,7 @@ def decode_frame(
                 meta.append((det.h_hat, det.delta_hat))
         cand_segments.append(segments)
         cand_meta.append(meta)
-    tree = tree_decode(cand_segments, cfg, path_cap=path_cap)
+    tree = tree_decode(cand_segments, cfg)
     channels = []
     delays = []
     for idx_path in tree.paths:

@@ -8,9 +8,9 @@ D**(-alpha) * sum(G) >= r * theta.  Every device transmits regardless; the
 far ones appear only as residual interference.
 
 A frame's devices are held as one Population of stacked arrays, row k being
-device k: its geometry, fading, channel and delay, and its message with the
-derived sub-block segments and landed slots.  classify_neighbors returns
-the in-cell rows as a boolean mask over that population.
+device k: its distance, fading gains, channel and delay, and its message
+with the derived sub-block segments and landed slots.  classify_neighbors
+returns the in-cell rows as a boolean mask over that population.
 
 Slot observations live in the post-DFT frequency domain,
 
@@ -25,9 +25,10 @@ group.  The tests pin the model down against an oracle that rebuilds the
 noise-free observation the long way (continuous-time waveform, sampling,
 prefix discard, DFT).
 
-The normalized delay is drawn uniform on [-pi, pi); the seconds-valued tau
-is derived from it and clamped to [0, tau_max], so the frequency-domain
-model governs and the clamp only matters to the tests' time-domain oracle.
+Only the normalized delay is drawn, uniform on [-pi, pi); the model is
+stated in it alone.  The tests' time-domain oracle takes a seconds-valued
+tau in the prefix window [0, tau_max] and converts it as
+Delta = 2 pi delta_f tau.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .access_pipeline import FrameConfig, draw_messages, segment_pair_bits
 from .rm_codec import bits_to_pair_batch, rm_samples_batch
@@ -90,9 +90,7 @@ class GeometryConfig:
 _POPULATION_FIELDS = {
     "distance": (np.float64, 1),
     "gains": (np.float64, 2),
-    "phases": (np.float64, 2),
     "h": (np.complex128, 2),
-    "tau": (np.float64, 1),
     "delta": (np.float64, 1),
     "info": (np.uint8, 2),
     "segments": (np.uint8, 3),
@@ -104,8 +102,8 @@ _POPULATION_FIELDS = {
 class Population:
     """One frame's devices as stacked arrays, one row per device.
 
-    distance, tau, delta: (K,); gains, phases: (K, r) fading powers and
-    phases, h: (K, r) complex channels; info: (K, B) message bits;
+    distance, delta: (K,); gains: (K, r) fading powers, h: (K, r) complex
+    channels (the fading phases live only in h); info: (K, B) message bits;
     segments: (K, 2**d, segment_bits) tree-coded sub-block segments;
     slots: (K, 2**d, copies) slot index of every transmitted copy.  The
     arrays are made read-only; only their shapes are checked.
@@ -113,9 +111,7 @@ class Population:
 
     distance: np.ndarray
     gains: np.ndarray
-    phases: np.ndarray
     h: np.ndarray
-    tau: np.ndarray
     delta: np.ndarray
     info: np.ndarray
     segments: np.ndarray
@@ -130,8 +126,8 @@ class Population:
             object.__setattr__(self, name, arr)
         if len({getattr(self, name).shape[0] for name in _POPULATION_FIELDS}) != 1:
             raise ValueError("population arrays disagree on the device count")
-        if not self.gains.shape == self.phases.shape == self.h.shape:
-            raise ValueError("gains, phases and h must share one (K, r) shape")
+        if self.gains.shape != self.h.shape:
+            raise ValueError("gains and h must share one (K, r) shape")
         if self.segments.shape[1] != self.slots.shape[1]:
             raise ValueError("segments and slots disagree on the sub-block count")
 
@@ -141,7 +137,7 @@ class Population:
 
 def _gamma_ratio(cfg: GeometryConfig) -> float:
     """Gamma(2/alpha + r) / Gamma(r), stable for large r."""
-    return float(np.exp(gammaln(2.0 / cfg.alpha + cfg.r) - gammaln(cfg.r)))
+    return math.exp(math.lgamma(2.0 / cfg.alpha + cfg.r) - math.lgamma(cfg.r))
 
 
 def expected_neighbors(cfg: GeometryConfig) -> float:
@@ -164,8 +160,8 @@ def sample_frame(cfg: GeometryConfig, frame: FrameConfig, rng: np.random.Generat
     Draw order is fixed (count, positions, fading, phases, delays, then
     messages) so a seeded generator reproduces the frame exactly.  Poisson
     count with mean density * area, positions uniform on the square,
-    unit-mean exponential gains, uniform phases.  Delays: normalized delay
-    uniform on [-pi, pi), tau clamped from it; both zero when the frame is
+    unit-mean exponential gains, uniform phases folded into h.  Delays:
+    normalized delay uniform on [-pi, pi), zero when the frame is
     synchronous.
     """
     count = int(rng.poisson(cfg.density * cfg.area))
@@ -175,14 +171,9 @@ def sample_frame(cfg: GeometryConfig, frame: FrameConfig, rng: np.random.Generat
     gains = rng.exponential(1.0, size=(count, cfg.r))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, cfg.r))
     h = dist[:, None] ** (-cfg.alpha / 2.0) * np.sqrt(gains) * np.exp(1j * phases)
-    if frame.synchronous:
-        delta = np.zeros(count)
-        tau = np.zeros(count)
-    else:
-        delta = rng.uniform(-math.pi, math.pi, size=count)
-        tau = np.clip(delta / (2.0 * math.pi * frame.delta_f), 0.0, frame.tau_max)
+    delta = np.zeros(count) if frame.synchronous else rng.uniform(-math.pi, math.pi, size=count)
     info, segments, slots = draw_messages(frame, rng, count)
-    return Population(dist, gains, phases, h, tau, delta, info, segments, slots)
+    return Population(dist, gains, h, delta, info, segments, slots)
 
 
 def classify_neighbors(pop: Population, cfg: GeometryConfig) -> np.ndarray:
@@ -234,7 +225,6 @@ def frame_observations(
     frame: FrameConfig,
     cfg: GeometryConfig,
     rng: np.random.Generator | None = None,
-    noise_on: bool = True,
 ) -> np.ndarray:
     """All slot observations of one frame, a read-only array of shape
     (2**d, 2**p, r, 2**m) indexed [sub_block, slot].
@@ -242,8 +232,9 @@ def frame_observations(
     Every device contributes every copy of every sub-block segment to the
     slot it lands in, with its block-static channel and delay.  Each slot
     group goes through synthesize_slot, so memory stays bounded by the most
-    crowded slot; noise for the whole grid is drawn up front in one block,
-    so the result does not depend on the accumulation order.
+    crowded slot.  With a generator the frame is noisy: noise for the whole
+    grid is drawn from it up front in one block, so the result does not
+    depend on the accumulation order.  Without one the frame is noiseless.
     """
     r, n, gamma = cfg.r, frame.seq_len, cfg.gamma
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
@@ -260,13 +251,11 @@ def frame_observations(
             f"segments of {pop.segments.shape[2]} bits do not match the frame's "
             f"{frame.segment_bits}"
         )
-    if noise_on:
-        if rng is None:
-            raise ValueError("noise synthesis needs a generator")
-        shape = (n_sub, n_slots, r, n)
-        Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    shape = (n_sub, n_slots, r, n)
+    if rng is None:
+        Y = np.zeros(shape, dtype=np.complex128)
     else:
-        Y = np.zeros((n_sub, n_slots, r, n), dtype=np.complex128)
+        Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     if k:
         flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
         for c in range(frame.copies):

@@ -271,9 +271,7 @@ def _population(messages, h, delta=None):
     k = h.shape[0]
     delta = np.zeros(k) if delta is None else delta
     info, segments, slots = (np.stack(field) for field in zip(*messages))
-    return Population(
-        np.ones(k), np.abs(h) ** 2, np.angle(h), h, np.zeros(k), delta, info, segments, slots
-    )
+    return Population(np.ones(k), np.abs(h) ** 2, h, delta, info, segments, slots)
 
 
 def _rows(messages):
@@ -289,7 +287,7 @@ def test_decode_frame_single_device():
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=2.0, r=2)
     msg = _rows(draw_messages(frame, np.random.default_rng(70), 1))[0]
     pop = _population([msg], [[0.8 + 0.1j, -0.3 + 1.1j]], [0.4])
-    obs = frame_observations(pop, frame, geo, noise_on=False)
+    obs = frame_observations(pop, frame, geo)
     out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
     assert len(out.messages) == 1
     np.testing.assert_array_equal(out.messages[0], msg[0])
@@ -318,7 +316,7 @@ def test_decode_frame_cross_slot_cancellation():
     h_a = 4.0 * np.exp(1j * rng2.uniform(0, 2 * np.pi, 4))
     h_b = 1.0 * np.exp(1j * rng2.uniform(0, 2 * np.pi, 4))
     pop = _population([msg_a, msg_b], [h_a, h_b], [0.5, -0.9])
-    obs = frame_observations(pop, frame, geo, noise_on=False)
+    obs = frame_observations(pop, frame, geo)
     out = decode_frame(obs, DetectorConfig(k_max=1, eps=1e-6), frame)
     got = {m.tobytes() for m in out.messages}
     assert got == {msg_a[0].tobytes(), msg_b[0].tobytes()}
@@ -358,7 +356,7 @@ def test_decode_frame_queues_the_other_copys_pair(monkeypatch):
         primary_first = bool(msg[2][0, 0] < msg[2][0, 1])
         orders.add(primary_first)
         pop = _population([msg], [[1.0, 0.5j]], [0.3])
-        obs = frame_observations(pop, frame, NOISELESS, noise_on=False)
+        obs = frame_observations(pop, frame, NOISELESS)
         queued.clear()
         out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
         np.testing.assert_array_equal(out.messages[0], msg[0])
@@ -406,7 +404,7 @@ def test_decode_frame_power_floor_screens_but_cancels():
     rng = np.random.default_rng(5)
     msgs = _rows(draw_messages(frame, rng, 2))  # strong, then weak
     pop = _population(msgs, [[3.0, 4.0j], [0.1, 0.1j]], [0.2, -0.4])
-    obs = frame_observations(pop, frame, NOISELESS, noise_on=False)
+    obs = frame_observations(pop, frame, NOISELESS)
     det = DetectorConfig(k_max=4, eps=1e-9)
     everything = decode_frame(obs, det, frame)
     assert {m.tobytes() for m in everything.messages} == {
@@ -423,7 +421,7 @@ def test_decode_frame_synchronous():
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
     msgs = _rows(draw_messages(frame, np.random.default_rng(6), 3))
     h = np.exp(1j * np.arange(3))[:, None] * np.array([1.0, 1.4j])
-    obs = frame_observations(_population(msgs, h), frame, geo, noise_on=False)
+    obs = frame_observations(_population(msgs, h), frame, geo)
     cfg = DetectorConfig(k_max=4, eps=1e-6, estimate_delay=False)
     out = decode_frame(obs, cfg, frame)
     assert {m.tobytes() for m in out.messages} == {m[0].tobytes() for m in msgs}

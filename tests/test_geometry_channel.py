@@ -97,33 +97,29 @@ def test_sample_frame_channel_composition():
     geo = GeometryConfig(density=4e-4, area=62_500.0, alpha=4.0, theta=1e-6, gamma=1e6, r=3)
     pop = sample_frame(geo, frame, np.random.default_rng(36))
     k = len(pop)
-    assert k > 0 and pop.h.shape == pop.gains.shape == pop.phases.shape == (k, geo.r)
+    assert k > 0 and pop.h.shape == pop.gains.shape == (k, geo.r)
     assert pop.info.shape == (k, frame.message_bits)
     assert pop.segments.shape == (k, frame.n_subblocks, frame.segment_bits)
     assert pop.slots.shape == (k, frame.n_subblocks, frame.copies)
-    expect = pop.distance[:, None] ** (-geo.alpha / 2.0) * np.sqrt(pop.gains) * np.exp(1j * pop.phases)
-    np.testing.assert_allclose(pop.h, expect, rtol=1e-12)
+    # the fading phases live only in h, so its power carries the check
+    expect = pop.distance[:, None] ** (-geo.alpha) * pop.gains
+    np.testing.assert_allclose(np.abs(pop.h) ** 2, expect, rtol=1e-12)
     assert (pop.distance <= geo.side / math.sqrt(2.0) + 1e-9).all()
     with pytest.raises(ValueError):
         pop.h[0, 0] = 0.0  # the population is read-only
 
 
 def test_delay_conventions():
-    """The normalized delay governs; tau is its clamp into the prefix window."""
+    """Normalized delays are uniform on [-pi, pi), and zero synchronously."""
     frame = FrameConfig(m=4, p=2, delta_f=15e3, tau_max=10e-6)
     geo = GeometryConfig(density=2e-3, area=62_500.0, alpha=4.0, theta=1e-6, gamma=1e6, r=1)
     pop = sample_frame(geo, frame, np.random.default_rng(37))
-    deltas, taus = pop.delta, pop.tau
-    assert deltas.min() >= -math.pi and deltas.max() < math.pi
-    np.testing.assert_array_equal(
-        taus, np.clip(deltas / (2.0 * math.pi * frame.delta_f), 0.0, frame.tau_max)
-    )
-    assert (taus == 0.0).any()  # negative deltas clamp to zero
-    assert (taus == frame.tau_max).any()  # large positive deltas saturate
+    assert pop.delta.min() >= -math.pi and pop.delta.max() < math.pi
+    assert (pop.delta < 0).any() and (pop.delta > 0).any()
 
     sync = FrameConfig(m=4, p=2, tau_max=0.0)
     pop = sample_frame(geo, sync, np.random.default_rng(38))
-    assert len(pop) and not pop.delta.any() and not pop.tau.any()
+    assert len(pop) and not pop.delta.any()
 
 
 def _population(h, delta, messages):
@@ -131,7 +127,7 @@ def _population(h, delta, messages):
     stacked messages of draw_messages."""
     h = np.asarray(h, dtype=np.complex128)
     k = h.shape[0]
-    return Population(np.ones(k), np.abs(h) ** 2, np.angle(h), h, np.zeros(k), delta, *messages)
+    return Population(np.ones(k), np.abs(h) ** 2, h, delta, *messages)
 
 
 def _random_population(frame, rng, k, r):
@@ -148,8 +144,8 @@ def test_classify_neighbors_boundary():
     totals = threshold * d**4 * np.array([1.0, 0.999, 1.001])  # exactly, below, above
     gains = np.repeat(totals[:, None] / 2.0, 2, axis=1)
     pop = Population(
-        np.full(3, d), gains, np.zeros((3, 2)), d ** (-2.0) * np.sqrt(gains),
-        np.zeros(3), np.zeros(3), *draw_messages(frame, np.random.default_rng(39), 3),
+        np.full(3, d), gains, d ** (-2.0) * np.sqrt(gains), np.zeros(3),
+        *draw_messages(frame, np.random.default_rng(39), 3),
     )
     assert d ** (-geo.alpha) * gains[0].sum() == threshold
     np.testing.assert_array_equal(classify_neighbors(pop, geo), [True, False, True])
@@ -187,7 +183,7 @@ def test_population_rejects_mismatched_channel_shapes():
     pop = _random_population(FrameConfig(m=4, p=2, d=1), np.random.default_rng(50), 5, 2)
     _rejects(pop, gains=pop.gains[:, 0])  # not 2-D
     _rejects(pop, h=pop.h[:, :1])  # another antenna count
-    _rejects(pop, phases=np.zeros((5, 3)))
+    _rejects(pop, gains=np.zeros((5, 3)))
     _rejects(pop, distance=np.ones((5, 1)))
 
 
@@ -203,7 +199,7 @@ def test_frame_observations_rejects_mismatched_plan():
     frame = FrameConfig(m=4, p=2, d=1)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
     pop = _random_population(frame, np.random.default_rng(52), 5, 2)
-    frame_observations(pop, frame, geo, noise_on=False)
+    frame_observations(pop, frame, geo)
     # a plan drawn for another frame: sub-block count, copy count, segment size
     for other, reason in [
         (FrameConfig(m=4, p=2, d=0), "slots"),
@@ -211,9 +207,9 @@ def test_frame_observations_rejects_mismatched_plan():
         (FrameConfig(m=5, p=2, d=1), "segments"),
     ]:
         with pytest.raises(ValueError, match=f"^{reason} of"):
-            frame_observations(pop, other, geo, noise_on=False)
+            frame_observations(pop, other, geo)
     with pytest.raises(ValueError, match="antenna count"):
-        frame_observations(pop, frame, dataclasses.replace(geo, r=3), noise_on=False)
+        frame_observations(pop, frame, dataclasses.replace(geo, r=3))
 
 
 def _random_codewords(rng, m, k):
@@ -270,7 +266,7 @@ def test_frame_observations_returns_read_only_array():
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=3)
     pop = _random_population(frame, np.random.default_rng(41), 4, geo.r)
     for rng in (None, np.random.default_rng(7)):
-        Y = frame_observations(pop, frame, geo, rng, noise_on=rng is not None)
+        Y = frame_observations(pop, frame, geo, rng)
         assert isinstance(Y, np.ndarray) and Y.dtype == np.complex128
         assert Y.shape == (frame.n_subblocks, frame.n_slots, geo.r, frame.seq_len)
         with pytest.raises(ValueError):
@@ -283,7 +279,7 @@ def test_frame_observations_matches_manual_superposition():
     frame = FrameConfig(m=4, p=2, d=1)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=3.0, r=2)
     pop = _random_population(frame, np.random.default_rng(42), 4, geo.r)
-    got = frame_observations(pop, frame, geo, noise_on=False)
+    got = frame_observations(pop, frame, geo)
     n = frame.seq_len
     ramp_base = np.arange(1, n + 1)
     expected = np.zeros((frame.n_subblocks, frame.n_slots, geo.r, n), dtype=complex)
@@ -304,12 +300,10 @@ def test_frame_observations_noise_is_additive_and_seeded():
     rng = np.random.default_rng(43)
     pop = _population([[1.0 + 0.3j, -0.2j]], [0.5], draw_messages(frame, rng, 1))
     empty = _population(np.zeros((0, 2)), [], draw_messages(frame, rng, 0))
-    total = frame_observations(pop, frame, geo, np.random.default_rng(7), noise_on=True)
-    noise = frame_observations(empty, frame, geo, np.random.default_rng(7), noise_on=True)
-    signal = frame_observations(pop, frame, geo, noise_on=False)
+    total = frame_observations(pop, frame, geo, np.random.default_rng(7))
+    noise = frame_observations(empty, frame, geo, np.random.default_rng(7))
+    signal = frame_observations(pop, frame, geo)
     np.testing.assert_allclose(total, noise + signal, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError):
-        frame_observations(pop, frame, geo, noise_on=True)  # no generator
 
 
 def mask_loop_observations(pop, frame, cfg, rng):

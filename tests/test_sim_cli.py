@@ -250,6 +250,16 @@ def test_sweep_accepts_integral_floats():
     assert [pt["r"] for pt in ExperimentSpec(sweep={"r": [1, 2.0]}).points()] == [1, 2]
 
 
+@pytest.mark.parametrize("name", ["devices", "antennas", "m", "p", "d", "trials", "seed", "k_max"])
+def test_spec_rejects_non_integer_fields(name):
+    # these used to be truncated silently: antennas=2.5 ran at r = 2
+    for value in (2.5, True, np.bool_(True), "3", float("nan")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ExperimentSpec(**{name: value})
+    spec = ExperimentSpec(**{name: 3.0})
+    assert getattr(spec, name) == 3 and type(getattr(spec, name)) is int
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_workers_rejects_non_positive_count(workers):
     from rmaccess.sim_cli import _resolve_workers
