@@ -7,10 +7,10 @@ a translate whose XOR with the primary gives the secondary slot.  Every bit
 after the slot index rides inside the Reed-Muller pair of the transmitted
 copies, at the canonical pair-bit position FrameConfig.pair_positions
 names; the two asynchronous copies differ only in a check bit.  This module
-alone decides that layout: segment_pair_bits writes it and decode_frame
-reads it back.  draw_messages draws a frame's messages at once and
-returns them as stacked arrays (information bits, segments, landed slots),
-the message half of geometry_channel.Population.  The frame decoder sweeps
+alone decides that layout: transmissions turns segments into every copy's
+pair and landed slot, for the channel and for the decoder's cancellations
+alike, and decode_frame reads the layout back.  draw_messages draws the
+information bits of a frame's messages at once.  The frame decoder sweeps
 the slots of every sub-block in order, pre-cancels copies of already-found
 messages whose other slot is the current one, runs the per-slot detector,
 maps detections back to segments, and finally tree-decodes across
@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import slot_detector
-from .rm_codec import as_bits, binary_index, unpack_bits
+from .rm_codec import as_bits, binary_index, bits_to_pair_batch, unpack_bits
 from .slot_detector import DetectorConfig
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "ErrorMetrics",
     "tree_encode",
     "tree_decode",
-    "segment_pair_bits",
+    "transmissions",
     "draw_messages",
     "decode_frame",
     "error_metrics",
@@ -46,6 +46,8 @@ __all__ = [
 # parity bits per sub-block at each d, and the seed of their random maps
 _PARITY = {0: (0,), 1: (0, 12), 2: (0, 9, 9, 9)}
 _PARITY_SEED = 2024
+# live tree-decoder paths per level before the newest are dropped
+_PATH_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,9 @@ class FrameConfig:
             raise ValueError("p must be nonnegative")
         if not 0 <= self.d <= 2:
             raise ValueError("d must be 0, 1 or 2 (more than 4 sub-blocks unsupported)")
+        for name in ("delta_f", "tau_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.delta_f <= 0:
             raise ValueError("delta_f must be positive")
         if self.tau_max < 0:
@@ -209,16 +214,12 @@ class TreeDecodeResult:
     overflow: bool
 
 
-def tree_decode(
-    candidates: Sequence[Sequence[np.ndarray]],
-    cfg: FrameConfig,
-    path_cap: int = 1 << 14,
-) -> TreeDecodeResult:
+def tree_decode(candidates: Sequence[Sequence[np.ndarray]], cfg: FrameConfig) -> TreeDecodeResult:
     """Stitch per-sub-block segment candidates into messages.
 
     Extends partial paths one sub-block at a time, keeping only extensions
     whose parity bits match the seeded map of the info bits collected so
-    far.  At most path_cap paths stay live per level; exceeding it drops the
+    far.  At most _PATH_CAP paths stay live per level; exceeding it drops the
     newest candidates and sets the overflow flag.  Output messages are
     deduplicated, first occurrence wins.  Candidate entries other than 0
     and 1 raise ValueError.
@@ -243,9 +244,9 @@ def tree_decode(
             for ci in matches:
                 info = np.concatenate([info_prefix, block[ci, :n_info]])
                 extended.append((idx_path + (ci,), info))
-        if len(extended) > path_cap:
+        if len(extended) > _PATH_CAP:
             overflow = True
-            extended = extended[:path_cap]
+            extended = extended[:_PATH_CAP]
         paths = extended
     messages: list[np.ndarray] = []
     kept_paths: list[tuple[int, ...]] = []
@@ -260,27 +261,7 @@ def tree_decode(
     return TreeDecodeResult(messages, kept_paths, overflow)
 
 
-# -- segments to slots and pairs ------------------------------------------
-
-
-def segment_pair_bits(segments: np.ndarray, cfg: FrameConfig, secondary: np.ndarray) -> np.ndarray:
-    """Canonical pair bit strings for a stack of segments: (k, segment_bits)
-    with (k,) secondary flags, each 0 or 1 -> (k, m(m+3)/2).  Segment bit
-    p + j goes to cfg.pair_positions[j] and a secondary copy sets the check
-    bit."""
-    segments, secondary = as_bits(segments), as_bits(secondary)
-    if segments.shape[1:] != (cfg.segment_bits,) or secondary.shape != segments.shape[:1]:
-        raise ValueError(
-            f"expected (k, {cfg.segment_bits}) segments and (k,) secondary flags, "
-            f"got {segments.shape} and {secondary.shape}"
-        )
-    bits = np.zeros((segments.shape[0], cfg.m * (cfg.m + 3) // 2), dtype=np.uint8)
-    bits[:, cfg.pair_positions] = segments[:, cfg.p :]
-    if secondary.any():
-        if cfg.check_pos is None:
-            raise ValueError("the synchronous scheme sends a single copy")
-        bits[:, cfg.check_pos] = secondary
-    return bits
+# -- segments to transmissions ---------------------------------------------
 
 
 def _msb_weights(width: int) -> np.ndarray:
@@ -288,26 +269,34 @@ def _msb_weights(width: int) -> np.ndarray:
     return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def _slots_from_segments(segments: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """(k, 2**d, segment_bits) -> slot indices (k, 2**d, copies)."""
-    weights = _msb_weights(cfg.p)
-    primary = segments[:, :, : cfg.p].astype(np.int64) @ weights
-    if cfg.synchronous:
-        return primary[:, :, None]
-    translate = segments[:, :, cfg.p : 2 * cfg.p].astype(np.int64) @ weights
-    return np.stack([primary, primary ^ translate], axis=2)
+def transmissions(segments: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every transmitted copy of a stack of sub-block segments, (...,
+    segment_bits) -> its pairs Ps (..., copies, m, m) and bs (..., copies,
+    m) and its landed slots (..., copies).
+
+    Segment bit p + j goes to cfg.pair_positions[j], and copy c carries c in
+    b[check_pos].  Copy 0 lands in the slot the first p bits name, read
+    MSB-first; copy 1 lands in that slot XOR the translate, the next p bits.
+    """
+    segments = as_bits(segments)
+    if segments.ndim < 1 or segments.shape[-1] != cfg.segment_bits:
+        raise ValueError(f"expected (..., {cfg.segment_bits}) segments, got {segments.shape}")
+    m, weights = cfg.m, _msb_weights(cfg.p)
+    bits = np.zeros(segments.shape[:-1] + (cfg.copies, m * (m + 3) // 2), dtype=np.uint8)
+    bits[..., cfg.pair_positions] = segments[..., None, cfg.p :]
+    slots = (segments[..., : cfg.p].astype(np.int64) @ weights)[..., None]
+    if not cfg.synchronous:
+        bits[..., 1, cfg.check_pos] = 1
+        translate = segments[..., cfg.p : 2 * cfg.p].astype(np.int64) @ weights
+        slots = np.concatenate([slots, slots ^ translate[..., None]], axis=-1)
+    Ps, bs = bits_to_pair_batch(bits.reshape(-1, bits.shape[-1]))
+    return Ps.reshape(bits.shape[:-1] + (m, m)), bs.reshape(bits.shape[:-1] + (m,)), slots
 
 
-def draw_messages(
-    cfg: FrameConfig, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """count uniform messages with valid transmission plans, stacked: the
-    information bits (count, B), the tree-coded sub-block segments, info
-    then parity (count, 2**d, segment_bits), and the slot index of every
-    transmitted copy (count, 2**d, copies).
+def draw_messages(cfg: FrameConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The information bits (count, B) of count uniform messages with valid
+    transmission plans.
 
-    The primary slot is a segment's first p bits; asynchronously the next
-    p are a translate whose XOR with the primary gives the secondary slot.
     Payloads whose encoding yields a zero translate (both copies in one
     slot) in any sub-block are redrawn whole, keeping tree parity
     consistent; the entropy loss is 2**d * 2**-p per message.
@@ -323,7 +312,7 @@ def draw_messages(
             infos[bad] = rng.integers(0, 2, size=(int(bad.sum()), cfg.message_bits), dtype=np.uint8)
             segments[bad] = tree_encode(infos[bad], cfg)
             bad = ~segments[:, :, cfg.p : 2 * cfg.p].any(axis=2).all(axis=1)
-    return infos, segments, _slots_from_segments(segments, cfg)
+    return infos
 
 
 # -- frame decoding --------------------------------------------------------
@@ -391,20 +380,19 @@ def decode_frame(
                 Y = Y - slot_detector.reconstruct_signal(P2, b2, h2, delta2)
             for det in slot_detector.detect_slot(Y, det_cfg):
                 tail = unpack_bits(det.P, det.b, positions)
-                is_secondary = check_pos is not None and bool(det.b[check_pos])
+                copy = 0 if check_pos is None else int(det.b[check_pos])
                 other = i ^ int(tail[: translate_weights.size] @ translate_weights)
-                primary = other if is_secondary else i
+                primary = other if copy else i
                 segment = np.concatenate([binary_index(primary, cfg.p), tail])
                 key = segment.tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
                 if other > i:
-                    # the same message's other copy: flip the check bit, reuse
-                    # the block-static channel and delay estimates
-                    b2 = det.b.copy()
-                    b2[check_pos] ^= 1
-                    pending[other].append((det.P, b2, det.h_hat, det.delta_hat))
+                    # the same message's other copy, with the block-static
+                    # channel and delay estimates
+                    Ps, bs, _ = transmissions(segment, cfg)
+                    pending[other].append((Ps[1 - copy], bs[1 - copy], det.h_hat, det.delta_hat))
                 if power_floor is not None:
                     power = float(np.vdot(det.h_hat, det.h_hat).real)
                     if power < power_floor:

@@ -8,9 +8,11 @@ D**(-alpha) * sum(G) >= r * theta.  Every device transmits regardless; the
 far ones appear only as residual interference.
 
 A frame's devices are held as one Population of stacked arrays, row k being
-device k: its distance, fading gains, channel and delay, and its message
-with the derived sub-block segments and landed slots.  classify_neighbors
-returns the in-cell rows as a boolean mask over that population.
+device k: exactly what sample_frame draws, its distance, fading gains,
+channel, delay and message bits.  What a message puts on the air, its
+sub-block segments' pairs and landed slots, frame_observations derives
+through access_pipeline.transmissions.  classify_neighbors returns the
+in-cell rows as a boolean mask over that population.
 
 Slot observations live in the post-DFT frequency domain,
 
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .access_pipeline import FrameConfig, draw_messages, segment_pair_bits
-from .rm_codec import bits_to_pair_batch, rm_samples_batch
+from .access_pipeline import FrameConfig, draw_messages, transmissions, tree_encode
+from .rm_codec import rm_samples_batch
 
 __all__ = [
     "GeometryConfig",
@@ -72,6 +74,9 @@ class GeometryConfig:
     r: int
 
     def __post_init__(self) -> None:
+        for name in ("density", "area", "alpha", "theta", "gamma", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha <= 2:
             raise ValueError("path-loss exponent must exceed 2")
         if self.density < 0:
@@ -93,8 +98,6 @@ _POPULATION_FIELDS = {
     "h": (np.complex128, 2),
     "delta": (np.float64, 1),
     "info": (np.uint8, 2),
-    "segments": (np.uint8, 3),
-    "slots": (np.int64, 3),
 }
 
 
@@ -103,10 +106,8 @@ class Population:
     """One frame's devices as stacked arrays, one row per device.
 
     distance, delta: (K,); gains: (K, r) fading powers, h: (K, r) complex
-    channels (the fading phases live only in h); info: (K, B) message bits;
-    segments: (K, 2**d, segment_bits) tree-coded sub-block segments;
-    slots: (K, 2**d, copies) slot index of every transmitted copy.  The
-    arrays are made read-only; only their shapes are checked.
+    channels (the fading phases live only in h); info: (K, B) message bits.
+    The arrays are made read-only; only their shapes are checked.
     """
 
     distance: np.ndarray
@@ -114,8 +115,6 @@ class Population:
     h: np.ndarray
     delta: np.ndarray
     info: np.ndarray
-    segments: np.ndarray
-    slots: np.ndarray
 
     def __post_init__(self) -> None:
         for name, (dtype, ndim) in _POPULATION_FIELDS.items():
@@ -128,8 +127,6 @@ class Population:
             raise ValueError("population arrays disagree on the device count")
         if self.gains.shape != self.h.shape:
             raise ValueError("gains and h must share one (K, r) shape")
-        if self.segments.shape[1] != self.slots.shape[1]:
-            raise ValueError("segments and slots disagree on the sub-block count")
 
     def __len__(self) -> int:
         return self.distance.shape[0]
@@ -172,8 +169,7 @@ def sample_frame(cfg: GeometryConfig, frame: FrameConfig, rng: np.random.Generat
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, cfg.r))
     h = dist[:, None] ** (-cfg.alpha / 2.0) * np.sqrt(gains) * np.exp(1j * phases)
     delta = np.zeros(count) if frame.synchronous else rng.uniform(-math.pi, math.pi, size=count)
-    info, segments, slots = draw_messages(frame, rng, count)
-    return Population(dist, gains, h, delta, info, segments, slots)
+    return Population(dist, gains, h, delta, draw_messages(frame, rng, count))
 
 
 def classify_neighbors(pop: Population, cfg: GeometryConfig) -> np.ndarray:
@@ -229,8 +225,9 @@ def frame_observations(
     """All slot observations of one frame, a read-only array of shape
     (2**d, 2**p, r, 2**m) indexed [sub_block, slot].
 
-    Every device contributes every copy of every sub-block segment to the
-    slot it lands in, with its block-static channel and delay.  Each slot
+    Every device contributes every copy of every sub-block segment of its
+    tree-coded message to the slot it lands in (access_pipeline.transmissions),
+    with its block-static channel and delay.  Each slot
     group goes through synthesize_slot, so memory stays bounded by the most
     crowded slot.  With a generator the frame is noisy: noise for the whole
     grid is drawn from it up front in one block, so the result does not
@@ -241,35 +238,25 @@ def frame_observations(
     k = len(pop)
     if pop.h.shape[1] != r:
         raise ValueError("device channel dimension does not match the antenna count")
-    if pop.slots.shape[1:] != (n_sub, frame.copies):
-        raise ValueError(
-            f"slots of shape {pop.slots.shape[1:]} per device do not match the frame's "
-            f"{(n_sub, frame.copies)}"
-        )
-    if pop.segments.shape[2] != frame.segment_bits:
-        raise ValueError(
-            f"segments of {pop.segments.shape[2]} bits do not match the frame's "
-            f"{frame.segment_bits}"
-        )
+    Ps, bs, slots = transmissions(tree_encode(pop.info, frame), frame)
     shape = (n_sub, n_slots, r, n)
     if rng is None:
         Y = np.zeros(shape, dtype=np.complex128)
     else:
         Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     if k:
-        flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
         for c in range(frame.copies):
-            Ps, bs = bits_to_pair_batch(segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1)))
-            Ps = Ps.reshape(k, n_sub, frame.m, frame.m)
-            bs = bs.reshape(k, n_sub, frame.m)
             for j in range(n_sub):
-                landed = pop.slots[:, j, c]
+                landed = slots[:, j, c]
                 order = np.argsort(landed, kind="stable")
                 starts = np.flatnonzero(np.diff(landed[order])) + 1
                 for sel in np.split(order, starts):
                     # codewords passed inline, so a ramping kernel can free them
                     Y[j, landed[sel[0]]] += synthesize_slot(
-                        rm_samples_batch(Ps[sel, j], bs[sel, j]), pop.h[sel], pop.delta[sel], gamma
+                        rm_samples_batch(Ps[sel, j, c], bs[sel, j, c]),
+                        pop.h[sel],
+                        pop.delta[sel],
+                        gamma,
                     )
     Y.setflags(write=False)
     return Y

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .access_pipeline import FrameConfig, decode_frame, error_metrics, segment_pair_bits
+from .access_pipeline import FrameConfig, decode_frame, error_metrics, transmissions
 from .geometry_channel import (
     GeometryConfig,
     classify_neighbors,
@@ -43,7 +43,7 @@ from .geometry_channel import (
     sample_frame,
     synthesize_slot,
 )
-from .rm_codec import bits_to_pair_batch, rm_samples_batch
+from .rm_codec import rm_samples_batch
 from .slot_detector import DetectorConfig, detect_slot
 
 __all__ = [
@@ -93,6 +93,15 @@ def _is_integral(value) -> bool:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         return False
     return float(value).is_integer()
+
+
+def _mapping(value, what: str) -> dict:
+    """A parsed spec-file mapping; None (an empty YAML entry) reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a mapping, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -193,9 +202,11 @@ class ExperimentSpec:
         """Build a spec from a parsed YAML mapping.
 
         Accepts the spec fields flat, or grouped under geometry / frame /
-        detector sections for readability; unknown keys raise.
+        detector sections for readability; unknown keys raise, and so do a
+        top level, section or sweep that is not a mapping and a sweep axis
+        that is not a list.
         """
-        data = dict(data or {})
+        data = dict(_mapping(data, "an experiment spec"))
         section_keys = {
             "geometry": {"area", "alpha", "theta", "gamma_db"},
             "frame": {"m", "p", "d", "delta_f", "tau_max", "devices", "antennas"},
@@ -203,12 +214,15 @@ class ExperimentSpec:
         }
         kwargs: dict = {}
         for section, allowed in section_keys.items():
-            for key, value in (data.pop(section, {}) or {}).items():
+            for key, value in _mapping(data.pop(section, None), f"section {section!r}").items():
                 if key not in allowed:
                     raise ValueError(f"unknown key {key!r} in section {section!r}")
                 kwargs[key] = value
-        sweep = data.pop("sweep", {}) or {}
-        kwargs["sweep"] = {k: list(v) for k, v in sweep.items()}
+        kwargs["sweep"] = {}
+        for axis, values in _mapping(data.pop("sweep", None), "'sweep'").items():
+            if not isinstance(values, list):
+                raise ValueError(f"sweep axis {axis!r} must be a list, got {values!r}")
+            kwargs["sweep"][axis] = list(values)
         flat_keys = {f.name for f in dataclasses.fields(cls)}
         for key, value in data.items():
             if key not in flat_keys:
@@ -430,6 +444,10 @@ def scaling_bench(
     at m=11: below that, fixed per-call overhead rather than the modeled
     arithmetic dominates the wall time.
     """
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     rng = np.random.default_rng(seed)
     cfg = DetectorConfig(k_max=2, eps=0.0)
     slots, results = [], []
@@ -441,15 +459,15 @@ def scaling_bench(
             segments.append(np.concatenate([[0, 1], payload]))  # slot 0, translate 1
             h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=r)))
             delta.append(rng.uniform(-math.pi, math.pi))
-        bits = segment_pair_bits(np.stack(segments), frame, np.zeros(2, dtype=bool))
-        X = rm_samples_batch(*bits_to_pair_batch(bits))
+        Ps, bs, _ = transmissions(np.stack(segments), frame)
+        X = rm_samples_batch(Ps[:, 0], bs[:, 0])  # both devices' primary copies
         slots.append(synthesize_slot(X, np.stack(h), np.array(delta), gamma=1.0))
         model = cfg.k_max * (2.0**m) * (4 * r + m + 2)
         results.append({"m": int(m), "r": int(r), "seconds": math.inf, "model": model})
     for Y in slots:
         detect_slot(Y, cfg)
     slots = [Y.copy() for Y in slots]
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         for Y, rec in zip(slots, results):
             started = time.perf_counter()
             rec["detections"] = len(detect_slot(Y, cfg))

@@ -162,8 +162,9 @@ def pair_from_bits(bits):
 
 def segment_pair(segment, frame, secondary=False):
     """Transmit pair (P, b) of one copy of one sub-block segment, placed field by
-    field: the reference for access_pipeline.segment_pair_bits.  The first
-    p segment bits are the slot index and stay off the air."""
+    field: the reference for the pairs of access_pipeline.transmissions, whose
+    copy c is secondary=bool(c).  The first p segment bits are the slot
+    index and stay off the air."""
     m, p = frame.m, frame.p
     segment = np.asarray(segment, dtype=np.uint8)
     assert segment.shape == (frame.segment_bits,)

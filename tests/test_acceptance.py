@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import async_layout, bits_value, pair_from_bits, segment_pair, time_domain_reference
-from rmaccess.access_pipeline import FrameConfig, segment_pair_bits, tree_decode, tree_encode
+from rmaccess.access_pipeline import FrameConfig, transmissions, tree_decode, tree_encode
 from rmaccess.geometry_channel import (
     GeometryConfig,
     classify_neighbors,
@@ -24,7 +24,6 @@ from rmaccess.geometry_channel import (
 )
 from rmaccess.rm_codec import (
     binary_index,
-    bits_to_pair_batch,
     rm_samples,
     unpack_bits,
     walsh_factor,
@@ -122,12 +121,12 @@ def test_criterion_3_codec_properties(criterion_report):
         tails = np.array([binary_index(v, n_tail) for v in range(1 << n_tail)])
         segments = np.concatenate([np.zeros((len(tails), frame.p), np.uint8), tails], axis=1)
         keys = set()
-        for sec in (False, True)[: frame.copies]:
-            bits = segment_pair_bits(segments, frame, np.full(len(tails), sec))
-            for tail, P, b in zip(tails, *bits_to_pair_batch(bits)):
+        Ps, bs, _ = transmissions(segments, frame)
+        for c in range(frame.copies):
+            for tail, P, b in zip(tails, Ps[:, c], bs[:, c]):
                 keys.add(P.tobytes() + b.tobytes())
                 packing_ok &= np.array_equal(unpack_bits(P, b, frame.pair_positions), tail)
-                packing_ok &= frame.synchronous or bool(b[frame.check_pos]) == sec
+                packing_ok &= frame.synchronous or b[frame.check_pos] == c
         if frame.synchronous:
             packing_ok &= len(keys) == 1 << total
             continue

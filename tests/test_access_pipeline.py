@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import bits_value, segment_pair
-from rmaccess import slot_detector
+from rmaccess import access_pipeline, slot_detector
 from rmaccess.access_pipeline import (
     FrameConfig,
     decode_frame,
     draw_messages,
     error_metrics,
-    segment_pair_bits,
+    transmissions,
     tree_decode,
     tree_encode,
 )
@@ -119,7 +119,7 @@ def test_tree_decode_prunes_parity_mismatch():
     np.testing.assert_array_equal(result.messages[0], info_a)
 
 
-def test_tree_decode_dedup_and_overflow():
+def test_tree_decode_dedup_and_overflow(monkeypatch):
     cfg = FrameConfig(m=6, p=6, d=1)
     rng = np.random.default_rng(63)
     info = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
@@ -130,7 +130,8 @@ def test_tree_decode_dedup_and_overflow():
     # a second valid message pushes past a path cap of one
     info2 = rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
     segs2 = tree_encode(info2[None], cfg)[0]
-    capped = tree_decode([[segs[0], segs2[0]], [segs[1], segs2[1]]], cfg, path_cap=1)
+    monkeypatch.setattr(access_pipeline, "_PATH_CAP", 1)
+    capped = tree_decode([[segs[0], segs2[0]], [segs[1], segs2[1]]], cfg)
     assert capped.overflow
     assert len(capped.messages) == 1
     np.testing.assert_array_equal(capped.messages[0], info)
@@ -141,13 +142,15 @@ def test_segment_pair_copies():
     rng = np.random.default_rng(64)
     seg = rng.integers(0, 2, size=cfg.segment_bits, dtype=np.uint8)
     seg[2:4] = [1, 0]  # nonzero translate
-    bits_p, bits_s = segment_pair_bits(np.stack([seg, seg]), cfg, np.array([False, True]))
+    Ps, bs, slots = transmissions(seg, cfg)
+    assert Ps.shape == (2, 5, 5) and bs.shape == (2, 5) and slots.shape == (2,)
+    bits_p, bits_s = pair_to_bits(Ps, bs)
     assert np.flatnonzero(bits_p != bits_s).tolist() == [cfg.check_pos]
-    Ps, bs = bits_to_pair_batch(bits_s[None])
-    tail = unpack_bits(Ps[0], bs[0], cfg.pair_positions)
+    tail = unpack_bits(Ps[1], bs[1], cfg.pair_positions)
     np.testing.assert_array_equal(tail[: cfg.p], seg[cfg.p : 2 * cfg.p])  # translate
     np.testing.assert_array_equal(tail[cfg.p :], seg[2 * cfg.p :])  # payload
-    assert bs[0, cfg.check_pos] == 1
+    assert bs[1, cfg.check_pos] == 1
+    assert slots.tolist() == [bits_value(seg[:2]), bits_value(seg[:2]) ^ 2]
 
 
 @pytest.mark.parametrize("bad", [256, -1, 0.5, 2])
@@ -166,32 +169,15 @@ def test_bit_inputs_reject_out_of_range_values(bad):
     segments = np.zeros((1, cfg.segment_bits))
     segments[0, -1] = bad
     with pytest.raises(ValueError, match="0 or 1"):
-        segment_pair_bits(segments, cfg, np.array([False]))
+        transmissions(segments, cfg)
     bits = np.zeros((1, 14))
     bits[0, 0] = bad
     with pytest.raises(ValueError, match="0 or 1"):
         bits_to_pair_batch(bits)
-    with pytest.raises(ValueError, match="0 or 1"):
-        segment_pair_bits(np.zeros((1, cfg.segment_bits)), cfg, np.array([bad]))
     candidate = np.zeros(cfg.segment_bits)
     candidate[-1] = bad
     with pytest.raises(ValueError, match="0 or 1"):
         tree_decode([[np.zeros(cfg.segment_bits), candidate]], cfg)
-
-
-def test_segment_pair_bits_rejects_bad_flags():
-    """A flag of 7 or 0.5 is not a copy choice, and a one-flag list must
-    not broadcast over two segment rows."""
-    cfg = FrameConfig(m=4, p=2)
-    segments = np.zeros((2, cfg.segment_bits), np.uint8)
-    for flags in ([7, 0], [0.5, 0]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            segment_pair_bits(segments, cfg, flags)
-    for flags in ([1], [0, 1, 0], [[0, 1]], True):
-        with pytest.raises(ValueError, match=r"\(k,\) secondary flags"):
-            segment_pair_bits(segments, cfg, flags)
-    bits = segment_pair_bits(segments, cfg, [1, 0])
-    assert bits[:, cfg.check_pos].tolist() == [1, 0]
 
 
 def test_tree_decode_rejects_malformed_candidates():
@@ -215,68 +201,66 @@ def test_tree_decode_rejects_malformed_candidates():
         tree_decode([[segs[0], segs[0][:-1]], [segs[1]]], cfg)  # ragged block
 
 
-def test_segment_pair_bits_matches_single():
-    cfg = FrameConfig(m=5, p=2)
+def test_transmissions_match_oracle_pairs_and_slots():
+    """Every copy of every segment, over any leading shape, against the
+    field-by-field encoder and the slot rule: copy 0 at the first p bits,
+    copy 1 at that slot XOR the translate."""
     rng = np.random.default_rng(65)
-    segs = rng.integers(0, 2, size=(10, cfg.segment_bits), dtype=np.uint8)
-    flags = rng.integers(0, 2, size=10).astype(bool)
-    batch = segment_pair_bits(segs, cfg, flags)
-    assert batch.dtype == np.uint8
-    for k in range(10):
-        expect = pair_to_bits(*segment_pair(segs[k], cfg, bool(flags[k])))
-        np.testing.assert_array_equal(batch[k], expect)
-
-    sync = FrameConfig(m=5, p=2, tau_max=0.0)
-    seg = rng.integers(0, 2, size=sync.segment_bits, dtype=np.uint8)
-    np.testing.assert_array_equal(
-        segment_pair_bits(seg[None], sync, np.array([False]))[0],
-        pair_to_bits(*segment_pair(seg, sync, False)),
-    )
-    with pytest.raises(ValueError):
-        segment_pair_bits(seg[None], sync, np.array([True]))  # single-copy scheme
+    for cfg in (FrameConfig(m=5, p=2), FrameConfig(m=5, p=2, tau_max=0.0)):
+        segs = rng.integers(0, 2, size=(2, 5, cfg.segment_bits), dtype=np.uint8)
+        Ps, bs, slots = transmissions(segs, cfg)
+        assert Ps.shape == (2, 5, cfg.copies, 5, 5) and bs.shape == (2, 5, cfg.copies, 5)
+        assert slots.shape == (2, 5, cfg.copies) and slots.dtype == np.int64
+        assert Ps.dtype == bs.dtype == np.uint8
+        for idx in np.ndindex(2, 5):
+            seg = segs[idx]
+            primary = bits_value(seg[: cfg.p])
+            expect = [primary, primary ^ bits_value(seg[cfg.p : 2 * cfg.p])]
+            assert slots[idx].tolist() == expect[: cfg.copies]
+            for c in range(cfg.copies):
+                P, b = segment_pair(seg, cfg, c == 1)
+                np.testing.assert_array_equal(Ps[idx][c], P)
+                np.testing.assert_array_equal(bs[idx][c], b)
+        # one segment is a stack with no leading axes
+        one = transmissions(segs[1, 3], cfg)
+        for got, stacked in zip(one, (Ps, bs, slots)):
+            np.testing.assert_array_equal(got, stacked[1, 3])
+    for shape in ((cfg.segment_bits - 1,), (2, cfg.segment_bits + 1), ()):
+        with pytest.raises(ValueError, match="segments"):
+            transmissions(np.zeros(shape, np.uint8), cfg)
 
 
 def test_draw_messages():
     cfg = FrameConfig(m=5, p=2, d=1)
     rng = np.random.default_rng(68)
-    info, segs, slots = draw_messages(cfg, rng, 400)
-    assert info.shape == (400, cfg.message_bits)
-    assert segs.shape == (400, 2, cfg.segment_bits)
-    assert slots.shape == (400, 2, 2)
-    np.testing.assert_array_equal(segs, tree_encode(info, cfg))
-    # primary slot from the first p segment bits, secondary through the translate
-    for k in range(50):
-        for j in range(cfg.n_subblocks):
-            primary = bits_value(segs[k, j, : cfg.p])
-            assert slots[k, j, 0] == primary
-            assert slots[k, j, 1] == primary ^ bits_value(segs[k, j, cfg.p : 2 * cfg.p])
+    info = draw_messages(cfg, rng, 400)
+    assert info.shape == (400, cfg.message_bits) and info.dtype == np.uint8
     # zero-translate payloads were redrawn whole: every sub-block's two copies
     # land in distinct slots
+    slots = transmissions(tree_encode(info, cfg), cfg)[2]
     assert (slots[:, :, 0] != slots[:, :, 1]).all()
 
     sync = FrameConfig(m=5, p=2, d=1, tau_max=0.0)
-    info, segs, slots = draw_messages(sync, rng, 30)
-    np.testing.assert_array_equal(slots[:, :, 0], segs[:, :, : sync.p] @ np.array([2, 1]))
-    assert slots.shape == (30, 2, 1)
-    info, segs, slots = draw_messages(cfg, rng, 0)
-    assert info.shape == (0, cfg.message_bits) and slots.shape == (0, 2, 2)
+    assert draw_messages(sync, rng, 30).shape == (30, sync.message_bits)
+    assert draw_messages(cfg, rng, 0).shape == (0, cfg.message_bits)
     with pytest.raises(ValueError):
         draw_messages(cfg, rng, -1)
 
 
-def _population(messages, h, delta=None):
-    """Devices at distance 1 sending the given messages, a sequence of
-    (info, segments, slots) rows, over channels h (k, r) with delays (k,)."""
+def _population(info, h, delta=None):
+    """Devices at distance 1 sending the messages info (k, B) over channels
+    h (k, r) with delays (k,)."""
     h = np.asarray(h, dtype=np.complex128)
     k = h.shape[0]
     delta = np.zeros(k) if delta is None else delta
-    info, segments, slots = (np.stack(field) for field in zip(*messages))
-    return Population(np.ones(k), np.abs(h) ** 2, h, delta, info, segments, slots)
+    return Population(np.ones(k), np.abs(h) ** 2, h, delta, np.asarray(info))
 
 
-def _rows(messages):
-    """draw_messages' stacked arrays as per-message (info, segments, slots) rows."""
-    return list(zip(*messages))
+def _plan(info, frame):
+    """The tree-coded segments (k, 2**d, segment_bits) of messages info
+    (k, B) and the landed slots (k, 2**d, copies) of their copies."""
+    segments = tree_encode(info, frame)
+    return segments, transmissions(segments, frame)[2]
 
 
 NOISELESS = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
@@ -285,12 +269,12 @@ NOISELESS = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1
 def test_decode_frame_single_device():
     frame = FrameConfig(m=4, p=2, d=0)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=2.0, r=2)
-    msg = _rows(draw_messages(frame, np.random.default_rng(70), 1))[0]
-    pop = _population([msg], [[0.8 + 0.1j, -0.3 + 1.1j]], [0.4])
+    info = draw_messages(frame, np.random.default_rng(70), 1)
+    pop = _population(info, [[0.8 + 0.1j, -0.3 + 1.1j]], [0.4])
     obs = frame_observations(pop, frame, geo)
     out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
     assert len(out.messages) == 1
-    np.testing.assert_array_equal(out.messages[0], msg[0])
+    np.testing.assert_array_equal(out.messages[0], info[0])
     assert out.candidate_counts == [1]
     assert out.delays[0][0] == pytest.approx(0.4, abs=1e-6)
     np.testing.assert_allclose(out.channels[0][0], np.sqrt(2.0) * pop.h[0], atol=1e-9)
@@ -305,8 +289,8 @@ def test_decode_frame_cross_slot_cancellation():
     rng = np.random.default_rng(0)
     msg_a = msg_b = None
     while msg_a is None or msg_b is None:
-        m = _rows(draw_messages(frame, rng, 1))[0]
-        s = m[2][0]
+        m = draw_messages(frame, rng, 1)[0]
+        s = _plan(m[None], frame)[1][0, 0]
         if msg_a is None and s[0] == 0 and s[1] == 2:
             msg_a = m
         elif msg_b is None and s[0] == 2 and s[1] == 3:
@@ -319,7 +303,7 @@ def test_decode_frame_cross_slot_cancellation():
     obs = frame_observations(pop, frame, geo)
     out = decode_frame(obs, DetectorConfig(k_max=1, eps=1e-6), frame)
     got = {m.tobytes() for m in out.messages}
-    assert got == {msg_a[0].tobytes(), msg_b[0].tobytes()}
+    assert got == {msg_a.tobytes(), msg_b.tobytes()}
 
 
 def _one_device_slot(pair, h, delta):
@@ -329,8 +313,9 @@ def _one_device_slot(pair, h, delta):
 
 def test_decode_frame_queues_the_other_copys_pair(monkeypatch):
     """The pair decode_frame queues for cancellation in a message's other
-    slot is the pair segment_pair_bits builds for that copy: the secondary
-    copy when the primary slot comes first, the primary one otherwise."""
+    slot is that copy's pair as the field-by-field encoder builds it: the
+    secondary copy when the primary slot comes first, the primary one
+    otherwise."""
     frame = FrameConfig(m=4, p=2, d=0)
     detect, reconstruct = slot_detector.detect_slot, slot_detector.reconstruct_signal
     inside_detect, queued = [], []
@@ -352,18 +337,19 @@ def test_decode_frame_queues_the_other_copys_pair(monkeypatch):
     rng = np.random.default_rng(2)
     orders = set()
     for _ in range(8):
-        msg = _rows(draw_messages(frame, rng, 1))[0]
-        primary_first = bool(msg[2][0, 0] < msg[2][0, 1])
+        info = draw_messages(frame, rng, 1)
+        segs, slots = _plan(info, frame)
+        primary_first = bool(slots[0, 0, 0] < slots[0, 0, 1])
         orders.add(primary_first)
-        pop = _population([msg], [[1.0, 0.5j]], [0.3])
+        pop = _population(info, [[1.0, 0.5j]], [0.3])
         obs = frame_observations(pop, frame, NOISELESS)
         queued.clear()
         out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
-        np.testing.assert_array_equal(out.messages[0], msg[0])
-        Ps, bs = bits_to_pair_batch(segment_pair_bits(msg[1][0][None], frame, [primary_first]))
+        np.testing.assert_array_equal(out.messages[0], info[0])
+        P, b = segment_pair(segs[0, 0], frame, primary_first)
         assert len(queued) == 1
-        np.testing.assert_array_equal(queued[0][0], Ps[0])
-        np.testing.assert_array_equal(queued[0][1], bs[0])
+        np.testing.assert_array_equal(queued[0][0], P)
+        np.testing.assert_array_equal(queued[0][1], b)
     assert orders == {True, False}
 
 
@@ -371,7 +357,8 @@ def test_decode_frame_secondary_copy_alone_recovers():
     # only the check-flipped copy is on the air; the decoder walks the
     # translate back to the primary slot index
     frame = FrameConfig(m=4, p=2, d=0)
-    info, segs, slots = draw_messages(frame, np.random.default_rng(1), 1)
+    info = draw_messages(frame, np.random.default_rng(1), 1)
+    segs, slots = _plan(info, frame)
     seg = segs[0, 0]
     s_sec = int(slots[0, 0, 1])
     grid = np.zeros((1, 4, 2, 16), dtype=complex)
@@ -386,7 +373,8 @@ def test_decode_frame_dedups_straggling_copy():
     """If the queued cancellation misses (here: the copies disagree on the
     channel), the re-detected copy maps to the same segment and is dropped."""
     frame = FrameConfig(m=4, p=2, d=0)
-    info, segs, slots = draw_messages(frame, np.random.default_rng(1), 1)
+    info = draw_messages(frame, np.random.default_rng(1), 1)
+    segs, slots = _plan(info, frame)
     seg = segs[0, 0]
     s_pri, s_sec = int(slots[0, 0, 0]), int(slots[0, 0, 1])
     h = np.array([1.0 + 0.2j, -0.5j])
@@ -402,29 +390,27 @@ def test_decode_frame_dedups_straggling_copy():
 def test_decode_frame_power_floor_screens_but_cancels():
     frame = FrameConfig(m=4, p=2, d=0)
     rng = np.random.default_rng(5)
-    msgs = _rows(draw_messages(frame, rng, 2))  # strong, then weak
+    msgs = draw_messages(frame, rng, 2)  # strong, then weak
     pop = _population(msgs, [[3.0, 4.0j], [0.1, 0.1j]], [0.2, -0.4])
     obs = frame_observations(pop, frame, NOISELESS)
     det = DetectorConfig(k_max=4, eps=1e-9)
     everything = decode_frame(obs, det, frame)
-    assert {m.tobytes() for m in everything.messages} == {
-        msgs[0][0].tobytes(), msgs[1][0].tobytes()
-    }
+    assert {m.tobytes() for m in everything.messages} == {m.tobytes() for m in msgs}
     screened = decode_frame(obs, det, frame, power_floor=1.0)
     assert len(screened.messages) == 1
-    np.testing.assert_array_equal(screened.messages[0], msgs[0][0])
+    np.testing.assert_array_equal(screened.messages[0], msgs[0])
     assert screened.candidate_counts == [1]
 
 
 def test_decode_frame_synchronous():
     frame = FrameConfig(m=5, p=2, tau_max=0.0)
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
-    msgs = _rows(draw_messages(frame, np.random.default_rng(6), 3))
+    msgs = draw_messages(frame, np.random.default_rng(6), 3)
     h = np.exp(1j * np.arange(3))[:, None] * np.array([1.0, 1.4j])
     obs = frame_observations(_population(msgs, h), frame, geo)
     cfg = DetectorConfig(k_max=4, eps=1e-6, estimate_delay=False)
     out = decode_frame(obs, cfg, frame)
-    assert {m.tobytes() for m in out.messages} == {m[0].tobytes() for m in msgs}
+    assert {m.tobytes() for m in out.messages} == {m.tobytes() for m in msgs}
     for delays in out.delays:
         assert not delays.any()
 

@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
-from oracles import einsum_synthesis, segment_pair, time_domain_reference
-from rmaccess.access_pipeline import FrameConfig, draw_messages, segment_pair_bits
+from oracles import bits_value, einsum_synthesis, segment_pair, time_domain_reference
+from rmaccess.access_pipeline import FrameConfig, draw_messages, transmissions, tree_encode
 from rmaccess.geometry_channel import (
     GeometryConfig,
     Population,
@@ -23,6 +23,7 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
 )
 from rmaccess.rm_codec import bits_to_pair_batch, rm_samples, rm_samples_batch
+from rmaccess.sim_cli import ExperimentSpec
 
 # the standard operating geometry: 4000 devices per km^2, 60 dB power
 GEO_R1 = GeometryConfig(density=0.004, area=250_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=1)
@@ -67,6 +68,36 @@ def test_geometry_validation():
     assert GeometryConfig(0.004, 250_000.0, 4.0, 1e-6, 1e6, 1).side == pytest.approx(500.0)
 
 
+_FRAME = FrameConfig(m=6, p=6)
+_BASELINE = dict(K=1000, r=16, m=6, p=6, d=0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: dataclasses.replace(GEO_R1, alpha=math.nan), "alpha"),
+        (lambda: dataclasses.replace(GEO_R1, theta=math.nan), "theta"),
+        (lambda: dataclasses.replace(GEO_R1, gamma=math.nan), "gamma"),
+        (lambda: dataclasses.replace(GEO_R1, density=math.nan), "density"),
+        (lambda: dataclasses.replace(GEO_R1, density=math.inf), "density"),
+        (lambda: dataclasses.replace(GEO_R1, area=math.inf), "area"),
+        (lambda: dataclasses.replace(_FRAME, delta_f=math.nan), "delta_f"),
+        (lambda: dataclasses.replace(_FRAME, tau_max=math.nan), "tau_max"),
+        (lambda: dataclasses.replace(_FRAME, tau_max=math.inf), "tau_max"),
+        (lambda: ExperimentSpec(gamma_db=math.nan).geometry_for(_BASELINE), "gamma"),
+    ],
+    ids=[
+        "alpha-nan", "theta-nan", "gamma-nan", "density-nan", "density-inf", "area-inf",
+        "delta_f-nan", "tau_max-nan", "tau_max-inf", "spec-gamma_db-nan",
+    ],
+)
+def test_configs_reject_non_finite_physics(build, name):
+    """NaN passes every ordered comparison's negation, so each bound check
+    alone would let it through to a NaN closed form or a failing draw."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
 def test_sample_frame_is_reproducible():
     frame = FrameConfig(m=4, p=2)
     geo = GeometryConfig(density=4e-4, area=62_500.0, alpha=4.0, theta=1e-6, gamma=1e6, r=2)
@@ -99,8 +130,10 @@ def test_sample_frame_channel_composition():
     k = len(pop)
     assert k > 0 and pop.h.shape == pop.gains.shape == (k, geo.r)
     assert pop.info.shape == (k, frame.message_bits)
-    assert pop.segments.shape == (k, frame.n_subblocks, frame.segment_bits)
-    assert pop.slots.shape == (k, frame.n_subblocks, frame.copies)
+    # exactly what sample_frame draws; segments and slots derive from info
+    assert [f.name for f in dataclasses.fields(Population)] == [
+        "distance", "gains", "h", "delta", "info"
+    ]
     # the fading phases live only in h, so its power carries the check
     expect = pop.distance[:, None] ** (-geo.alpha) * pop.gains
     np.testing.assert_allclose(np.abs(pop.h) ** 2, expect, rtol=1e-12)
@@ -122,12 +155,12 @@ def test_delay_conventions():
     assert len(pop) and not pop.delta.any()
 
 
-def _population(h, delta, messages):
+def _population(h, delta, info):
     """Devices at distance 1 with channels h (k, r), delays (k,) and the
-    stacked messages of draw_messages."""
+    message bits info (k, B) of draw_messages."""
     h = np.asarray(h, dtype=np.complex128)
     k = h.shape[0]
-    return Population(np.ones(k), np.abs(h) ** 2, h, delta, *messages)
+    return Population(np.ones(k), np.abs(h) ** 2, h, delta, info)
 
 
 def _random_population(frame, rng, k, r):
@@ -145,7 +178,7 @@ def test_classify_neighbors_boundary():
     gains = np.repeat(totals[:, None] / 2.0, 2, axis=1)
     pop = Population(
         np.full(3, d), gains, d ** (-2.0) * np.sqrt(gains), np.zeros(3),
-        *draw_messages(frame, np.random.default_rng(39), 3),
+        draw_messages(frame, np.random.default_rng(39), 3),
     )
     assert d ** (-geo.alpha) * gains[0].sum() == threshold
     np.testing.assert_array_equal(classify_neighbors(pop, geo), [True, False, True])
@@ -176,7 +209,6 @@ def test_population_rejects_mismatched_counts():
     _rejects(pop, distance=np.ones(4))
     _rejects(pop, delta=np.zeros(6))
     _rejects(pop, info=pop.info[:4])
-    _rejects(pop, slots=pop.slots[:4])
 
 
 def test_population_rejects_mismatched_channel_shapes():
@@ -187,11 +219,10 @@ def test_population_rejects_mismatched_channel_shapes():
     _rejects(pop, distance=np.ones((5, 1)))
 
 
-def test_population_rejects_flat_segments_and_slots():
+def test_population_rejects_flat_info():
     pop = _random_population(FrameConfig(m=4, p=2, d=1), np.random.default_rng(51), 5, 2)
-    _rejects(pop, segments=pop.segments[:, 0])
-    _rejects(pop, slots=pop.slots[:, :, 0])
-    _rejects(pop, slots=pop.slots[:, :1])  # sub-block count differs from segments'
+    _rejects(pop, info=pop.info[:, 0])
+    _rejects(pop, info=pop.info[:, :, None])
     assert len(dataclasses.replace(pop)) == 5
 
 
@@ -200,13 +231,14 @@ def test_frame_observations_rejects_mismatched_plan():
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=1.0, r=2)
     pop = _random_population(frame, np.random.default_rng(52), 5, 2)
     frame_observations(pop, frame, geo)
-    # a plan drawn for another frame: sub-block count, copy count, segment size
-    for other, reason in [
-        (FrameConfig(m=4, p=2, d=0), "slots"),
-        (FrameConfig(m=4, p=2, d=1, tau_max=0.0), "slots"),
-        (FrameConfig(m=5, p=2, d=1), "segments"),
+    # messages drawn for another frame: sub-block count, copy count, segment
+    # size each change the message width, which the tree encoder checks
+    for other in [
+        FrameConfig(m=4, p=2, d=0),
+        FrameConfig(m=4, p=2, d=1, tau_max=0.0),
+        FrameConfig(m=5, p=2, d=1),
     ]:
-        with pytest.raises(ValueError, match=f"^{reason} of"):
+        with pytest.raises(ValueError, match=r"^expected \(k, \d+\) info bits"):
             frame_observations(pop, other, geo)
     with pytest.raises(ValueError, match="antenna count"):
         frame_observations(pop, frame, dataclasses.replace(geo, r=3))
@@ -273,6 +305,15 @@ def test_frame_observations_returns_read_only_array():
             Y[0, 0, 0, 0] = 1.0
 
 
+def _oracle_slots(segment, frame):
+    """Landed slot of each copy of one segment: the first p bits, then
+    asynchronously that slot XOR the next p (the translate)."""
+    primary = bits_value(segment[: frame.p])
+    if frame.synchronous:
+        return [primary]
+    return [primary, primary ^ bits_value(segment[frame.p : 2 * frame.p])]
+
+
 def test_frame_observations_matches_manual_superposition():
     """The batched grid builder agrees with a per-device, per-copy loop
     through the field-by-field encoder."""
@@ -283,13 +324,13 @@ def test_frame_observations_matches_manual_superposition():
     n = frame.seq_len
     ramp_base = np.arange(1, n + 1)
     expected = np.zeros((frame.n_subblocks, frame.n_slots, geo.r, n), dtype=complex)
+    segments = tree_encode(pop.info, frame)
     for k in range(len(pop)):
         ramp = np.exp(-1j * pop.delta[k] * ramp_base)
         for j in range(frame.n_subblocks):
-            seg = pop.segments[k, j]
-            for c in range(frame.copies):
+            seg = segments[k, j]
+            for c, slot in enumerate(_oracle_slots(seg, frame)):
                 X = rm_samples(*segment_pair(seg, frame, c == 1))
-                slot = int(pop.slots[k, j, c])
                 expected[j, slot] += math.sqrt(geo.gamma) * np.outer(pop.h[k], X * ramp)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -315,12 +356,15 @@ def mask_loop_observations(pop, frame, cfg, rng):
     Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     k = len(pop)
     if k:
-        flat = pop.segments.reshape(k * n_sub, frame.segment_bits)
+        segments = tree_encode(pop.info, frame).reshape(k * n_sub, frame.segment_bits)
+        slots = np.array([_oracle_slots(seg, frame) for seg in segments])
+        slots = slots.reshape(k, n_sub, frame.copies)
         for c in range(frame.copies):
-            bits = segment_pair_bits(flat, frame, np.full(k * n_sub, c == 1))
-            X = rm_samples_batch(*bits_to_pair_batch(bits)).reshape(k, n_sub, n)
+            pairs = [segment_pair(seg, frame, c == 1) for seg in segments]
+            Ps, bs = np.stack([P for P, _ in pairs]), np.stack([b for _, b in pairs])
+            X = rm_samples_batch(Ps, bs).reshape(k, n_sub, n)
             for j in range(n_sub):
-                landed = pop.slots[:, j, c]
+                landed = slots[:, j, c]
                 for i in np.unique(landed):
                     sel = landed == i
                     Y[j, i] += synthesize_slot(X[sel, j], pop.h[sel], pop.delta[sel], cfg.gamma)
@@ -357,7 +401,8 @@ def test_frame_observations_exact_with_empty_slots():
     geo = GeometryConfig(density=0.0, area=1.0, alpha=4.0, theta=1e-6, gamma=3.0, r=2)
     rng = np.random.default_rng(47)
     pop = _random_population(frame, rng, 3, geo.r)
-    assert len(np.unique(pop.slots[:, 0, :])) < frame.n_slots  # some slot stays empty
+    slots = transmissions(tree_encode(pop.info, frame), frame)[2]
+    assert len(np.unique(slots[:, 0, :])) < frame.n_slots  # some slot stays empty
     _assert_matches_mask_loop(pop, frame, geo)
     _assert_matches_mask_loop(sample_frame(geo, frame, rng), frame, geo)  # no devices
 
@@ -365,15 +410,16 @@ def test_frame_observations_exact_with_empty_slots():
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
-from rmaccess.access_pipeline import FrameConfig
+from rmaccess.access_pipeline import FrameConfig, transmissions, tree_encode
 from rmaccess.geometry_channel import GeometryConfig, frame_observations, sample_frame
 
 geo = GeometryConfig(density=8e-3, area=100_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=16)
 for frame in (FrameConfig(m=10, p=2, tau_max=0.0), FrameConfig(m=6, p=2)):
     rng = np.random.default_rng(59)
     pop = sample_frame(geo, frame, rng)
+    slots = transmissions(tree_encode(pop.info, frame), frame)[2]
     for c in range(frame.copies):
-        assert np.bincount(pop.slots[:, 0, c], minlength=frame.n_slots).min() > 130
+        assert np.bincount(slots[:, 0, c], minlength=frame.n_slots).min() > 130
     Y = frame_observations(pop, frame, geo, rng)
     print(frame.m, hashlib.sha256(Y.tobytes()).hexdigest())
 """

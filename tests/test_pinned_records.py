@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rmaccess.access_pipeline import FrameConfig
+from rmaccess.access_pipeline import FrameConfig, transmissions, tree_encode
 from rmaccess.geometry_channel import GeometryConfig, frame_observations, sample_frame
 from rmaccess.sim_cli import presets, run_single_trial
 
@@ -29,9 +29,11 @@ def _sha(arr: np.ndarray) -> str:
 
 
 def test_sample_frame_stream_is_pinned():
-    pop = sample_frame(GEO, FrameConfig(m=6, p=4, d=1), np.random.default_rng(2024))
+    frame = FrameConfig(m=6, p=4, d=1)
+    pop = sample_frame(GEO, frame, np.random.default_rng(2024))
     assert len(pop) == 207
-    digests = {name: _sha(getattr(pop, name)) for name in ("distance", "h", "delta", "info", "slots")}
+    digests = {name: _sha(getattr(pop, name)) for name in ("distance", "h", "delta", "info")}
+    digests["slots"] = _sha(transmissions(tree_encode(pop.info, frame), frame)[2])
     assert digests == {
         "distance": "77f395d297719d4f1cf748b3c2ea6dcf1b71b1b77d85468adcda7b5a14d6c661",
         "h": "c5784e23dd1af6e46b6d8b24528ca9539c991e2dc27bded58be75fc286997b1d",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
+from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.rm_codec import (
     as_bits,
     binary_index,
@@ -431,25 +431,26 @@ def frames_and_segments(draw):
     frame = FrameConfig(m, p, tau_max=0.0 if synchronous else 10e-6)
     k = draw(st.integers(1, 6))
     segments = draw(arrays(np.uint8, (k, frame.segment_bits), elements=st.integers(0, 1)))
-    secondary = np.zeros(k, bool) if synchronous else draw(arrays(bool, k))
-    return frame, segments, secondary
+    return frame, segments
 
 
 @settings(max_examples=80, deadline=None)
 @given(frames_and_segments())
 def test_pack_unpack_round_trip(case):
-    """segment_pair_bits -> bits_to_pair_batch -> unpack_bits and the check
-    bit give back every tail and flag exactly; the two copies of a segment
-    differ only at check_pos."""
-    frame, segments, secondary = case
-    bits = segment_pair_bits(segments, frame, secondary)
-    for row, (P, b) in enumerate(zip(*bits_to_pair_batch(bits))):
-        tail = unpack_bits(P, b, frame.pair_positions)
-        np.testing.assert_array_equal(tail, segments[row, frame.p :])
-        flag = frame.check_pos is not None and bool(b[frame.check_pos])
-        assert flag == secondary[row]
+    """transmissions -> unpack_bits and the check bit give back every tail
+    and copy index exactly; the two copies of a segment differ only at
+    check_pos."""
+    frame, segments = case
+    Ps, bs, _ = transmissions(segments, frame)
+    for row in range(len(segments)):
+        for c in range(frame.copies):
+            P, b = Ps[row, c], bs[row, c]
+            tail = unpack_bits(P, b, frame.pair_positions)
+            np.testing.assert_array_equal(tail, segments[row, frame.p :])
+            assert (0 if frame.check_pos is None else b[frame.check_pos]) == c
     if frame.check_pos is not None:
-        diff = segment_pair_bits(segments, frame, ~secondary) != bits
+        bits = pair_to_bits(Ps, bs)
+        diff = bits[:, 0] != bits[:, 1]
         assert diff[:, frame.check_pos].all() and diff.sum() == len(segments)
 
 
@@ -458,7 +459,7 @@ def test_copies_differ_only_in_check_bit():
     frame = FrameConfig(5, 2)
     segment = rng.integers(0, 2, size=frame.segment_bits, dtype=np.uint8)
     segment[2:4] = [1, 0]
-    primary, secondary = segment_pair_bits(np.stack([segment] * 2), frame, np.array([False, True]))
+    primary, secondary = pair_to_bits(*transmissions(segment, frame)[:2])
     assert np.flatnonzero(primary != secondary).tolist() == [3]  # b[m-2]
 
 
@@ -470,21 +471,17 @@ def test_pack_exhaustive_small_layout():
     tails = np.array([binary_index(v, n_tail) for v in range(1 << n_tail)])
     segments = np.concatenate([np.zeros((len(tails), 1), np.uint8), tails], axis=1)
     seen = set()
-    for sec in (False, True):
-        bits = segment_pair_bits(segments, frame, np.full(len(tails), sec))
-        for val, (P, b) in enumerate(zip(*bits_to_pair_batch(bits))):
+    Ps, bs, _ = transmissions(segments, frame)
+    for c in range(2):
+        for val, (P, b) in enumerate(zip(Ps[:, c], bs[:, c])):
             seen.add(pair_to_bits(P, b).tobytes())
             assert bits_value(unpack_bits(P, b, frame.pair_positions)) == val
-            assert bool(b[frame.check_pos]) == sec
+            assert b[frame.check_pos] == c
     assert len(seen) == (1 << n_tail) * 2
 
 
 def test_pack_rejects_wrong_sizes():
-    frame = FrameConfig(4, 2)
-    for width in (frame.segment_bits - 1, frame.segment_bits + 1):
-        with pytest.raises(ValueError):
-            segment_pair_bits(np.zeros((1, width), np.uint8), frame, np.array([False]))
-    sync = FrameConfig(4, 2, tau_max=0.0)
-    with pytest.raises(ValueError, match="single copy"):
-        # no check bit to set in the single-copy layout
-        segment_pair_bits(np.zeros((1, sync.segment_bits), np.uint8), sync, np.array([True]))
+    for frame in (FrameConfig(4, 2), FrameConfig(4, 2, tau_max=0.0)):
+        for width in (frame.segment_bits - 1, frame.segment_bits + 1):
+            with pytest.raises(ValueError):
+                transmissions(np.zeros((1, width), np.uint8), frame)

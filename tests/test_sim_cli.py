@@ -89,6 +89,25 @@ def test_from_mapping_flat_and_sectioned():
     assert ExperimentSpec.from_mapping({}) == ExperimentSpec()
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ([["area", 5.0]], "an experiment spec must be a mapping"),
+        ({"geometry": 5}, "section 'geometry' must be a mapping"),
+        ({"frame": [1, 2]}, "section 'frame' must be a mapping"),
+        ({"sweep": [1, 2]}, "'sweep' must be a mapping"),
+        ({"sweep": {"K": 1000}}, "sweep axis 'K' must be a list"),
+        ({"sweep": {"r": "4"}}, "sweep axis 'r' must be a list"),
+    ],
+    ids=["list-of-pairs", "section-int", "section-list", "sweep-list", "axis-int", "axis-str"],
+)
+def test_from_mapping_rejects_misshapen_specs(data, named):
+    """A spec file of the wrong shape fails naming the key at fault, not
+    with a raw AttributeError or TypeError or by being read as pairs."""
+    with pytest.raises(ValueError, match=f"^{named}"):
+        ExperimentSpec.from_mapping(data)
+
+
 def test_from_yaml(tmp_path):
     path = tmp_path / "spec.yaml"
     path.write_text(
@@ -183,6 +202,16 @@ def test_scaling_bench_smoke():
         assert rec["seconds"] > 0
         assert rec["model"] == 2 * 2 ** rec["m"] * (4 * 4 + rec["m"] + 2)
         assert rec["normalized"] > 0
+
+
+@pytest.mark.parametrize("kwargs, name", [({"r": 0}, "r"), ({"reps": 0}, "reps"), ({"reps": -1}, "reps")])
+def test_scaling_bench_rejects_empty_runs(kwargs, name):
+    # r = 0 timed an empty slot and reps <= 0 was clamped to one round
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        scaling_bench(m_values=(9,), **kwargs)
+    argv = ["bench", "--m", "9"] + [f"--{key}={value}" for key, value in kwargs.items()]
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        main(argv)
 
 
 def test_cli_run_and_bench(tmp_path, capsys):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from oracles import einsum_samples_batch, segment_pair
 from rmaccess import slot_detector
-from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
+from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.geometry_channel import expected_neighbors, synthesize_slot
-from rmaccess.rm_codec import bits_to_pair_batch, rm_samples, walsh_factor
+from rmaccess.rm_codec import rm_samples, walsh_factor
 from rmaccess.sim_cli import ExperimentSpec
 from rmaccess.slot_detector import (
     Detection,
@@ -313,7 +313,7 @@ def test_reconstruct_signal_matches_einsum_oracle():
         frame = FrameConfig(m, 1)
         payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
         segment = np.concatenate([[0, 1], payload])
-        Ps, bs = bits_to_pair_batch(segment_pair_bits(np.stack([segment] * 2), frame, [0, 1]))
+        Ps, bs, _ = transmissions(segment, frame)
         random_pair = (upper | upper.T, rng.integers(0, 2, size=m, dtype=np.uint8))
         for P, b in (random_pair, (Ps[0], bs[0]), (Ps[1], bs[1])):
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -455,9 +455,9 @@ def test_detection_arrays_are_read_only():
 
 _BLAS_PROBE = """
 import numpy as np
-from rmaccess.access_pipeline import FrameConfig, segment_pair_bits
+from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.geometry_channel import synthesize_slot
-from rmaccess.rm_codec import bits_to_pair_batch, rm_samples_batch
+from rmaccess.rm_codec import rm_samples_batch
 from rmaccess.slot_detector import DetectorConfig, detect_slot
 
 rng = np.random.default_rng(58)
@@ -467,7 +467,8 @@ for scale in (2.0, 1.0):
     payload = rng.integers(0, 2, size=frame.segment_bits - 2, dtype=np.uint8)
     segments.append(np.concatenate([[0, 1], payload]))
     h.append(scale * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=16)))
-X = rm_samples_batch(*bits_to_pair_batch(segment_pair_bits(np.stack(segments), frame, [0, 0])))
+Ps, bs, _ = transmissions(np.stack(segments), frame)
+X = rm_samples_batch(Ps[:, 0], bs[:, 0])
 Y = synthesize_slot(X, np.stack(h), np.array([0.4, -1.3]), gamma=1.0)
 Y = Y + 0.1 * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
 for det in detect_slot(Y, DetectorConfig(k_max=3, eps=0.0)):
