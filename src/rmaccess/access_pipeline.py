@@ -20,6 +20,7 @@ sub-blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -72,6 +73,11 @@ class FrameConfig:
     tau_max: float = 10e-6
 
     def __post_init__(self) -> None:
+        for name in ("m", "p", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m < 2:
             raise ValueError("m must be at least 2")
         if self.p < 0:
@@ -168,8 +174,9 @@ def _pair_positions(m: int, p: int, synchronous: bool) -> np.ndarray:
     else:
         rows, cols = np.triu_indices(m)
         translate = (m + np.flatnonzero(rows != cols))[:p]
-        taken = np.concatenate([translate, [m - 2, m - 1, total - 1]])
-        positions = np.concatenate([translate, np.setdiff1d(np.arange(total), taken)])
+        payload = np.ones(total, dtype=bool)
+        payload[translate] = payload[[m - 2, m - 1, total - 1]] = False
+        positions = np.concatenate([translate, np.flatnonzero(payload)])
     positions.setflags(write=False)
     return positions
 

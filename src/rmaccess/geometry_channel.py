@@ -23,9 +23,13 @@ and Z unit-variance circular Gaussian.  synthesize_slot is the one kernel
 for the signal sum, a (r, k) by (k, N) complex product per slot group taken
 through BLAS in fixed blocks of devices, so Y does not depend on the BLAS
 thread count; frame_observations draws Z up front and calls it per slot
-group.  The tests pin the model down against an oracle that rebuilds the
-noise-free observation the long way (continuous-time waveform, sampling,
-prefix discard, DFT).
+group.  A device's two asynchronous copies share h and Delta and differ
+only in the check bit, a fixed sign pattern over n, so a two-copy frame
+builds and ramps each device's codeword once per sub-block, into one
+(K, 2**m) table that copy 1 reuses after an in-place sign flip; a
+synchronous frame holds no table.  The tests pin the model down against an
+oracle that rebuilds the noise-free observation the long way
+(continuous-time waveform, sampling, prefix discard, DFT).
 
 Only the normalized delay is drawn, uniform on [-pi, pi); the model is
 stated in it alone.  The tests' time-domain oracle takes a seconds-valued
@@ -195,6 +199,24 @@ def _check_stack(X: np.ndarray, h: np.ndarray, delay: np.ndarray) -> None:
 # over 130 did not.
 _DEVICE_BLOCK = 64
 
+# Samples per delay-ramp chunk in frame_observations, which bounds the ramp's
+# temporaries (8 + 16 bytes a sample) whatever the population size.
+_RAMP_SAMPLES = 1 << 13
+
+
+def _ramp(delta: np.ndarray, n: int) -> np.ndarray:
+    """Delay ramps e**(-i delta[k] n), n = 1..N, as a (k, N) complex array.
+
+    The real and imaginary parts are filled with cos and -sin of delta[k] n,
+    which is bit-identical to np.exp(-1j * np.outer(delta, n)) and cheaper.
+    """
+    x = np.outer(delta, np.arange(1, n + 1))
+    ramp = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=ramp.real)
+    np.sin(x, out=ramp.imag)
+    np.negative(ramp.imag, out=ramp.imag)
+    return ramp
+
 
 def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: float) -> np.ndarray:
     """Noise-free post-DFT observation of one slot, (r, n).
@@ -209,11 +231,18 @@ def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: floa
     X, h, delta = np.asarray(X), np.asarray(h), np.asarray(delta)
     _check_stack(X, h, delta)
     if delta.any():
-        X = X * np.exp(-1j * np.outer(delta, np.arange(1, X.shape[1] + 1)))
+        X = X * _ramp(delta, X.shape[1])
     Y = np.zeros((h.shape[1], X.shape[1]), dtype=np.complex128)
     for s in range(0, len(X), _DEVICE_BLOCK):
         Y += h[s : s + _DEVICE_BLOCK].T @ X[s : s + _DEVICE_BLOCK]
     return math.sqrt(gamma) * Y
+
+
+def _slot_groups(landed: np.ndarray) -> list[np.ndarray]:
+    """Device indices per landed slot, ascending within each group, groups
+    in slot order (empty slots have none)."""
+    order = np.argsort(landed, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(landed[order])) + 1)
 
 
 def frame_observations(
@@ -227,11 +256,22 @@ def frame_observations(
 
     Every device contributes every copy of every sub-block segment of its
     tree-coded message to the slot it lands in (access_pipeline.transmissions),
-    with its block-static channel and delay.  Each slot
-    group goes through synthesize_slot, so memory stays bounded by the most
-    crowded slot.  With a generator the frame is noisy: noise for the whole
-    grid is drawn from it up front in one block, so the result does not
-    depend on the accumulation order.  Without one the frame is noiseless.
+    with its block-static channel and delay.  Each slot group goes through
+    synthesize_slot.  A synchronous frame (one copy, zero delays) builds
+    its codewords group by group, so memory stays bounded by the most
+    crowded slot.  A two-copy frame builds every device's copy-0 codeword
+    of a sub-block in one (K, 2**m) table and ramps it in place, a chunk of
+    devices at a time, so memory is bounded by that one table.  The copies
+    differ only in the check bit b[m-2], so copy 1's ramped codeword is
+    copy 0's negated wherever bit 1 of n-1 is set, an exact sign flip
+    applied to the table in place.  Each slot group sums its rows gathered
+    from the table in the same device order as from freshly built and
+    ramped codewords, so the result is bit-identical to ramping each copy
+    on its own.
+
+    With a generator the frame is noisy: noise for the whole grid is drawn
+    from it up front in one block, so the result does not depend on the
+    accumulation order.  Without one the frame is noiseless.
     """
     r, n, gamma = cfg.r, frame.seq_len, cfg.gamma
     n_sub, n_slots = frame.n_subblocks, frame.n_slots
@@ -244,20 +284,33 @@ def frame_observations(
         Y = np.zeros(shape, dtype=np.complex128)
     else:
         Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    if k:
-        for c in range(frame.copies):
-            for j in range(n_sub):
-                landed = slots[:, j, c]
-                order = np.argsort(landed, kind="stable")
-                starts = np.flatnonzero(np.diff(landed[order])) + 1
-                for sel in np.split(order, starts):
-                    # codewords passed inline, so a ramping kernel can free them
-                    Y[j, landed[sel[0]]] += synthesize_slot(
-                        rm_samples_batch(Ps[sel, j, c], bs[sel, j, c]),
-                        pop.h[sel],
-                        pop.delta[sel],
-                        gamma,
+    if k and frame.copies == 1:
+        for j in range(n_sub):
+            for sel in _slot_groups(slots[:, j, 0]):
+                # codewords passed inline, so none outlive their group's product
+                Y[j, slots[sel[0], j, 0]] += synthesize_slot(
+                    rm_samples_batch(Ps[sel, j, 0], bs[sel, j, 0]),
+                    pop.h[sel],
+                    pop.delta[sel],
+                    gamma,
+                )
+    elif k:
+        rows = max(1, _RAMP_SAMPLES // n)
+        zero_delay = np.zeros(k)
+        for j in range(n_sub):
+            table = rm_samples_batch(Ps[:, j, 0], bs[:, j, 0])
+            for s in range(0, k, rows):
+                table[s : s + rows] *= _ramp(pop.delta[s : s + rows], n)
+            for c in range(2):
+                if c:
+                    # copy 1's check bit negates the samples n with bit 1
+                    # of n-1 set: entries 2 and 3 of every run of four
+                    flipped = table.reshape(k, n // 4, 4)[:, :, 2:]
+                    np.negative(flipped, out=flipped)
+                for sel in _slot_groups(slots[:, j, c]):
+                    Y[j, slots[sel[0], j, c]] += synthesize_slot(
+                        table[sel], pop.h[sel], zero_delay[: len(sel)], gamma
                     )
+            del table  # before the next sub-block's table is built
     Y.setflags(write=False)
     return Y
-

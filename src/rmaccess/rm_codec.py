@@ -22,6 +22,7 @@ recursion (odd positions of X are X_half verbatim) forces this ordering.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -211,6 +212,18 @@ def _triu_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def _entry_positions(m: int) -> np.ndarray:
+    """Canonical bit-string position of every entry of P, row-major: an
+    upper-triangle entry and its mirror share one.  Read-only."""
+    rows, cols = _triu_coords(m)
+    positions = np.empty((m, m), dtype=np.intp)
+    positions[rows, cols] = positions[cols, rows] = m + np.arange(rows.size)
+    positions = positions.ravel()
+    positions.setflags(write=False)
+    return positions
+
+
 def pair_to_bits(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Canonical bit string of a pair: b, then the upper triangle of P
     (diagonal included) row by row, m(m+3)/2 bits.  Takes one pair or a
@@ -222,9 +235,10 @@ def pair_to_bits(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([b, P[..., rows, cols]], axis=-1)
 
 
+@lru_cache(maxsize=None)
 def _order_from_total(total: int) -> int:
-    # solve m(m+3)/2 = total
-    m = int((-3 + np.sqrt(9 + 8 * total)) / 2 + 0.5)
+    """The m with m(m+3)/2 == total, in integers: m = (isqrt(9 + 8 total) - 3) // 2."""
+    m = (math.isqrt(9 + 8 * total) - 3) // 2
     if m < 1 or m * (m + 3) // 2 != total:
         raise ValueError(f"{total} is not a valid canonical bit-string length")
     return m
@@ -236,12 +250,8 @@ def bits_to_pair_batch(bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if bit_matrix.ndim != 2:
         raise ValueError("expected a 2-D bit matrix")
     m = _order_from_total(bit_matrix.shape[1])
-    bs = bit_matrix[:, :m].copy()
-    Ps = np.zeros((bit_matrix.shape[0], m, m), dtype=np.uint8)
-    rows, cols = _triu_coords(m)
-    Ps[:, rows, cols] = bit_matrix[:, m:]
-    Ps = np.maximum(Ps, Ps.transpose(0, 2, 1))
-    return Ps, bs
+    Ps = np.take(bit_matrix, _entry_positions(m), axis=1)
+    return Ps.reshape(-1, m, m), bit_matrix[:, :m].copy()
 
 
 def unpack_bits(P: np.ndarray, b: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -152,10 +152,31 @@ class ExperimentSpec:
                     raise ValueError(f"sweep axis {axis!r} has non-integer value {value!r}")
             if len({int(v) for v in values}) != len(values):
                 raise ValueError(f"sweep axis {axis!r} repeats a value: {list(values)}")
+        reals = ("area", "alpha", "theta", "gamma_db", "delta_f", "tau_max")
+        reals += ("refine_window", "refine_resolution") + (() if self.eps is None else ("eps",))
+        for name in reals:
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        # every point's configs, so bad physics fails here rather than in a
+        # trial, possibly in a pool worker
+        for point in self.points():
+            self.frame_for(point)
+            self.detector_for(point)
 
     @property
     def gamma(self) -> float:
-        return 10.0 ** (self.gamma_db / 10.0)
+        """Transmit power 10**(gamma_db / 10).  A gamma_db whose power
+        overflows or underflows a float raises ValueError naming it."""
+        try:
+            gamma = 10.0 ** (self.gamma_db / 10.0)
+        except OverflowError:
+            gamma = math.inf
+        if gamma in (0.0, math.inf):
+            raise ValueError(
+                f"gamma must be finite and positive, got {gamma} from gamma_db {self.gamma_db!r}"
+            )
+        return gamma
 
     def points(self) -> list[dict]:
         defaults = {"K": self.devices, "r": self.antennas, "m": self.m, "p": self.p, "d": self.d}

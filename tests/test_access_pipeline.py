@@ -62,6 +62,20 @@ def test_frame_config_validation():
         FrameConfig(m=1, p=1)
 
 
+@pytest.mark.parametrize("name", ["m", "p", "d"])
+@pytest.mark.parametrize("bad", [6.5, 2.0, True, np.float64(2.0), np.bool_(True), "2"])
+def test_frame_config_rejects_non_integral_sizes(name, bad):
+    fields = {"m": 6, "p": 2, "d": 0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        FrameConfig(**fields)
+
+
+def test_frame_config_takes_numpy_integers_as_ints():
+    frame = FrameConfig(m=np.int64(6), p=np.uint8(2), d=np.int32(1))
+    assert frame == FrameConfig(m=6, p=2, d=1)
+    assert all(type(getattr(frame, name)) is int for name in ("m", "p", "d"))
+
+
 def test_tree_encode_shapes_and_linearity():
     cfg = FrameConfig(m=6, p=6, d=2)
     rng = np.random.default_rng(60)

@@ -4,6 +4,7 @@ frame sampler's draw conventions, and the slot synthesis paths."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,50 @@ def test_frame_observations_exact_with_empty_slots():
     assert len(np.unique(slots[:, 0, :])) < frame.n_slots  # some slot stays empty
     _assert_matches_mask_loop(pop, frame, geo)
     _assert_matches_mask_loop(sample_frame(geo, frame, rng), frame, geo)  # no devices
+
+
+def _traced_peak(build):
+    """Peak bytes tracemalloc sees numpy allocate while build() runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_case(frame):
+    geo = GeometryConfig(density=8e-3, area=250_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=16)
+    pop = sample_frame(geo, frame, np.random.default_rng(3))
+    assert 1800 < len(pop) < 2200
+    table = len(pop) * frame.seq_len * 16  # one (K, 2**m) complex array
+    return pop, geo, table
+
+
+def test_synchronous_frame_memory_holds_no_table():
+    """A synchronous frame builds its codewords slot group by slot group and
+    frees each group's after its product: its peak stays under half of one
+    (K, 2**m) table, where a whole-population table would double it."""
+    frame = FrameConfig(m=10, p=2, tau_max=0.0)
+    pop, geo, table = _memory_case(frame)
+    assert _traced_peak(lambda: frame_observations(pop, frame, geo)) < table / 2
+
+
+def test_two_copy_frame_memory_is_one_table():
+    """A two-copy frame holds one (K, 2**m) table of ramped codewords.
+    Beyond it, the uint8 exponents it is built from (at most 4 bytes a
+    sample), the observation array and the encoder's outputs, only
+    slot-group transients (at most 8 of the most crowded group) may be
+    alive at once: a whole-population ramp or a second table would not fit."""
+    frame = FrameConfig(m=6, p=6)
+    pop, geo, table = _memory_case(frame)
+    segments = tree_encode(pop.info, frame)
+    slots = transmissions(segments, frame)[2]
+    encoder = _traced_peak(lambda: transmissions(segments, frame))
+    observations = frame.n_subblocks * frame.n_slots * geo.r * frame.seq_len * 16
+    group = max(np.bincount(slots[:, 0, c]).max() for c in range(2)) * frame.seq_len * 16
+    bound = table * 5 // 4 + observations + encoder + 8 * group
+    assert _traced_peak(lambda: frame_observations(pop, frame, geo)) <= bound
 
 
 _BLAS_PROBE = """

@@ -356,6 +356,23 @@ def test_bits_to_pair_batch_matches_single():
         np.testing.assert_array_equal(bs[k], b)
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_bits_to_pair_batch_matches_zero_fill_and_mirror(m):
+    """The gather through the cached entry positions against zeros plus the
+    elementwise max with the transpose, k = 0 rows included."""
+    rng = np.random.default_rng(100 + m)
+    for k in (0, 1, 7):
+        mat = rng.integers(0, 2, size=(k, m * (m + 3) // 2), dtype=np.uint8)
+        rows, cols = np.triu_indices(m)
+        expected = np.zeros((k, m, m), dtype=np.uint8)
+        expected[:, rows, cols] = mat[:, m:]
+        expected = np.maximum(expected, expected.transpose(0, 2, 1))
+        Ps, bs = bits_to_pair_batch(mat)
+        assert Ps.dtype == bs.dtype == np.uint8
+        np.testing.assert_array_equal(Ps, expected)
+        np.testing.assert_array_equal(bs, mat[:, :m])
+
+
 def test_bits_to_pair_rejects_bad_length():
     with pytest.raises(ValueError):
         bits_to_pair_batch(np.zeros((1, 6), dtype=np.uint8))  # no m solves m(m+3)/2 = 6
@@ -461,6 +478,30 @@ def test_copies_differ_only_in_check_bit():
     segment[2:4] = [1, 0]
     primary, secondary = pair_to_bits(*transmissions(segment, frame)[:2])
     assert np.flatnonzero(primary != secondary).tolist() == [3]  # b[m-2]
+
+
+@st.composite
+def two_copy_segments(draw):
+    m = draw(st.integers(2, 10))
+    frame = FrameConfig(m, draw(st.integers(1, m * (m - 1) // 2)))
+    k = draw(st.integers(1, 4))
+    return frame, draw(arrays(np.uint8, (k, frame.segment_bits), elements=st.integers(0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_copy_segments())
+@example((FrameConfig(2, 1), np.array([[0, 1, 1]], dtype=np.uint8)))
+@example((FrameConfig(10, 2), np.ones((2, FrameConfig(10, 2).segment_bits), dtype=np.uint8)))
+def test_copy_one_is_copy_zero_sign_flipped(case):
+    """Copy 1's samples equal copy 0's times 1 - 2 * ((n-1) >> 1 & 1)
+    exactly: the check bit b[m-2] weighs bit 1 of n-1 by i**2.
+    frame_observations builds copy 1 from copy 0 through this identity."""
+    frame, segments = case
+    Ps, bs, _ = transmissions(segments, frame)
+    X0 = rm_samples_batch(Ps[:, 0], bs[:, 0])
+    X1 = rm_samples_batch(Ps[:, 1], bs[:, 1])
+    n = np.arange(1, frame.seq_len + 1)
+    np.testing.assert_array_equal(X1, X0 * (1 - 2 * ((n - 1) >> 1 & 1)))
 
 
 def test_pack_exhaustive_small_layout():

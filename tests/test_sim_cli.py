@@ -108,6 +108,39 @@ def test_from_mapping_rejects_misshapen_specs(data, named):
         ExperimentSpec.from_mapping(data)
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"gamma_db": 4000}, "gamma must be finite and positive, got inf from gamma_db 4000"),
+        ({"gamma_db": -4000}, "gamma must be finite and positive, got 0.0 from gamma_db -4000"),
+        ({"gamma_db": float("nan")}, "gamma must be finite"),
+        ({"geometry": {"theta": -1}}, "area, theta and gamma must be positive"),
+        ({"alpha": 2.0}, "path-loss exponent"),
+        ({"area": "big"}, "area must be a real number"),
+        ({"tau_max": -1e-6}, "tau_max must be nonnegative"),
+        ({"eps": float("nan")}, "eps must not be NaN"),
+        ({"sweep": {"m": [6, 1]}}, "m must be at least 2"),
+        ({"sweep": {"r": [16, 0]}}, "need at least one antenna"),
+    ],
+    ids=["gamma-overflow", "gamma-underflow", "gamma-nan", "theta", "alpha", "area-str",
+         "tau-max", "eps-nan", "sweep-m", "sweep-r"],
+)
+def test_spec_rejects_bad_physics_when_built(data, named):
+    """Every point's frame, geometry and detector configs are built with the
+    spec, so bad physics fails at load, naming the field at fault."""
+    with pytest.raises(ValueError, match=named):
+        ExperimentSpec.from_mapping(data)
+
+
+def test_spec_validation_draws_nothing(monkeypatch):
+    """Building a spec checks its configs without touching any generator."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert len(ExperimentSpec(sweep={"K": [1000, 2000], "d": [0, 1]}).points()) == 4
+
+
 def test_from_yaml(tmp_path):
     path = tmp_path / "spec.yaml"
     path.write_text(
@@ -285,8 +318,10 @@ def test_spec_rejects_non_integer_fields(name):
     for value in (2.5, True, np.bool_(True), "3", float("nan")):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             ExperimentSpec(**{name: value})
-    spec = ExperimentSpec(**{name: 3.0})
-    assert getattr(spec, name) == 3 and type(getattr(spec, name)) is int
+    # an integral float is taken as its int; m = 3 or d = 3 would be bad physics
+    value = {"m": 7, "d": 1}.get(name, 3)
+    spec = ExperimentSpec(**{name: float(value)})
+    assert getattr(spec, name) == value and type(getattr(spec, name)) is int
 
 
 @pytest.mark.parametrize("workers", [0, -2])
