@@ -6,10 +6,11 @@ its first p bits on the primary slot index and (asynchronously) the next p on
 a translate whose XOR with the primary gives the secondary slot.  Every bit
 after the slot index rides inside the Reed-Muller pair of the transmitted
 copies, at the canonical pair-bit position FrameConfig.pair_positions
-names; the two asynchronous copies differ only in a check bit.  This module
-alone decides that layout: transmissions turns segments into every copy's
-pair and landed slot, for the channel and for the decoder's cancellations
-alike, and decode_frame reads the layout back.  draw_messages draws the
+names; the two asynchronous copies differ only in a check bit, whose flip
+negates a fixed set of samples (_flip_check_bit, used by synthesis and the
+decoder alike).  This module alone decides that layout: transmissions turns
+segments into every copy's pair and landed slot, and decode_frame reads the
+layout back.  draw_messages draws the
 information bits of a frame's messages at once.  The frame decoder sweeps
 the slots of every sub-block in order, pre-cancels copies of already-found
 messages whose other slot is the current one, runs the per-slot detector,
@@ -29,7 +30,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import slot_detector
-from .rm_codec import as_bits, binary_index, bits_to_pair_batch, unpack_bits
+# unpack_bits is the checked form of _gather_bits, which decode_frame calls;
+# perfbench/tracing.py wraps it under this name
+from .rm_codec import (
+    _bit_rows,
+    _flat_positions,
+    _gather_bits,
+    as_bits,
+    bits_to_pair_batch,
+    unpack_bits,
+)
 from .slot_detector import DetectorConfig
 
 __all__ = [
@@ -181,6 +191,16 @@ def _pair_positions(m: int, p: int, synchronous: bool) -> np.ndarray:
     return positions
 
 
+@lru_cache(maxsize=None)
+def _tail_index(m: int, p: int, synchronous: bool) -> np.ndarray:
+    """Where each segment bit after the slot index sits in a pair flattened
+    as concatenate((b, P.ravel())): pair_positions mapped from canonical
+    positions to flat indices, as unpack_bits maps them.  Read-only."""
+    index = _flat_positions(m)[_pair_positions(m, p, synchronous)]
+    index.setflags(write=False)
+    return index
+
+
 # -- tree code ------------------------------------------------------------
 
 
@@ -276,6 +296,21 @@ def _msb_weights(width: int) -> np.ndarray:
     return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
+def _flip_check_bit(samples: np.ndarray) -> None:
+    """Turn one asynchronous copy's samples into the other copy's, in place.
+
+    The copies differ only in the check bit b[m-2], whose flip negates the
+    samples n with bit 1 of n-1 set: entries 2 and 3 of every run of four
+    along the last axis.  A sign flip is exact and commutes with the delay
+    ramp and the channel, so it applies as well to codewords, ramped
+    codewords and reconstructed signals.  Strided views keep it in place for
+    any memory layout.
+    """
+    for k in (2, 3):
+        entries = samples[..., k::4]
+        np.negative(entries, out=entries)
+
+
 def transmissions(segments: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every transmitted copy of a stack of sub-block segments, (...,
     segment_bits) -> its pairs Ps (..., copies, m, m) and bs (..., copies,
@@ -288,16 +323,19 @@ def transmissions(segments: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, n
     segments = as_bits(segments)
     if segments.ndim < 1 or segments.shape[-1] != cfg.segment_bits:
         raise ValueError(f"expected (..., {cfg.segment_bits}) segments, got {segments.shape}")
-    m, weights = cfg.m, _msb_weights(cfg.p)
-    bits = np.zeros(segments.shape[:-1] + (cfg.copies, m * (m + 3) // 2), dtype=np.uint8)
-    bits[..., cfg.pair_positions] = segments[..., None, cfg.p :]
+    m, weights, lead = cfg.m, _msb_weights(cfg.p), segments.shape[:-1]
+    # copy 0's pairs; copy 1 shares P and sets the check bit of b
+    bits = np.zeros((math.prod(lead), m * (m + 3) // 2), dtype=np.uint8)
+    bits[:, cfg.pair_positions] = segments.reshape(-1, cfg.segment_bits)[:, cfg.p :]
+    Ps, bs = bits_to_pair_batch(bits)
+    Ps = np.repeat(Ps.reshape(lead + (1, m, m)), cfg.copies, axis=-3)
+    bs = np.repeat(bs.reshape(lead + (1, m)), cfg.copies, axis=-2)
     slots = (segments[..., : cfg.p].astype(np.int64) @ weights)[..., None]
     if not cfg.synchronous:
-        bits[..., 1, cfg.check_pos] = 1
+        bs[..., 1, cfg.check_pos] = 1
         translate = segments[..., cfg.p : 2 * cfg.p].astype(np.int64) @ weights
         slots = np.concatenate([slots, slots ^ translate[..., None]], axis=-1)
-    Ps, bs = bits_to_pair_batch(bits.reshape(-1, bits.shape[-1]))
-    return Ps.reshape(bits.shape[:-1] + (m, m)), bs.reshape(bits.shape[:-1] + (m,)), slots
+    return Ps, bs, slots
 
 
 def draw_messages(cfg: FrameConfig, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -349,9 +387,11 @@ def decode_frame(
     Slots are swept in index order per sub-block.  Every detection is mapped
     back to its sub-block segment through cfg.pair_positions (a secondary
     copy locates its primary slot through the XOR translate); the first
-    time a segment appears, the reconstruction of its *other* copy is
-    queued for cancellation when the sweep reaches that slot.  Candidates
-    then go through the tree decoder.
+    time a segment appears, its *other* copy is queued for cancellation
+    when the sweep reaches that slot: the signal the detector cancelled,
+    check bit flipped, which is bit for bit reconstruct_signal of the other
+    copy's pair with the same estimates.  Candidates then go through the
+    tree decoder.
 
     power_floor screens the reported set by estimated received power: a
     detection with ||h_hat||**2 below it is an out-of-cell device (or
@@ -372,7 +412,9 @@ def decode_frame(
             f"a detector with estimate_delay={det_cfg.estimate_delay} cannot decode a "
             f"{'synchronous' if cfg.synchronous else 'asynchronous'} frame"
         )
-    positions, check_pos = cfg.pair_positions, cfg.check_pos
+    check_pos = cfg.check_pos
+    tail_index = _tail_index(cfg.m, cfg.p, cfg.synchronous)
+    slot_bits = _bit_rows(cfg.p)
     translate_weights = _msb_weights(0 if cfg.synchronous else cfg.p)
     cand_segments: list[list[np.ndarray]] = []
     cand_meta: list[list[tuple[np.ndarray, float]]] = []
@@ -380,26 +422,28 @@ def decode_frame(
         seen: set[bytes] = set()
         segments: list[np.ndarray] = []
         meta: list[tuple[np.ndarray, float]] = []
-        pending: dict[int, list] = defaultdict(list)
+        pending: dict[int, list[np.ndarray]] = defaultdict(list)
         for i in range(cfg.n_slots):
             Y = observations[j, i]
-            for P2, b2, h2, delta2 in pending.get(i, ()):
-                Y = Y - slot_detector.reconstruct_signal(P2, b2, h2, delta2)
+            for signal in pending.pop(i, ()):
+                Y = Y - signal
             for det in slot_detector.detect_slot(Y, det_cfg):
-                tail = unpack_bits(det.P, det.b, positions)
+                tail = _gather_bits(det.P, det.b, tail_index)
                 copy = 0 if check_pos is None else int(det.b[check_pos])
                 other = i ^ int(tail[: translate_weights.size] @ translate_weights)
                 primary = other if copy else i
-                segment = np.concatenate([binary_index(primary, cfg.p), tail])
+                segment = np.concatenate([slot_bits[primary], tail])
                 key = segment.tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
                 if other > i:
                     # the same message's other copy, with the block-static
-                    # channel and delay estimates
-                    Ps, bs, _ = transmissions(segment, cfg)
-                    pending[other].append((Ps[1 - copy], bs[1 - copy], det.h_hat, det.delta_hat))
+                    # channel and delay estimates: the cancelled signal with
+                    # the check bit flipped
+                    signal = det.signal.copy()
+                    _flip_check_bit(signal)
+                    pending[other].append(signal)
                 if power_floor is not None:
                     power = float(np.vdot(det.h_hat, det.h_hat).real)
                     if power < power_floor:

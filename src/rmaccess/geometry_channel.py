@@ -22,9 +22,10 @@ with n = 1..N one-based, Delta_k = 2 pi delta_f tau_k the normalized delay
 and Z unit-variance circular Gaussian.  synthesize_slot is the one kernel
 for the signal sum, a (r, k) by (k, N) complex product per slot group taken
 through BLAS in fixed blocks of devices, so Y does not depend on the BLAS
-thread count; frame_observations draws Z up front and calls it per slot
-group.  A device's two asynchronous copies share h and Delta and differ
-only in the check bit, a fixed sign pattern over n, so a two-copy frame
+thread count; frame_observations draws Z up front and sums each slot
+group through the same blocked product.  A device's two asynchronous
+copies share h and Delta and differ only in the check bit, a fixed sign
+pattern over n, so a two-copy frame
 builds and ramps each device's codeword once per sub-block, into one
 (K, 2**m) table that copy 1 reuses after an in-place sign flip; a
 synchronous frame holds no table.  The tests pin the model down against an
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .access_pipeline import FrameConfig, draw_messages, transmissions, tree_encode
+from .access_pipeline import FrameConfig, _flip_check_bit, draw_messages, transmissions, tree_encode
 from .rm_codec import rm_samples_batch
 
 __all__ = [
@@ -232,10 +233,16 @@ def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: floa
     _check_stack(X, h, delta)
     if delta.any():
         X = X * _ramp(delta, X.shape[1])
+    return math.sqrt(gamma) * _device_sum(X, h)
+
+
+def _device_sum(X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_k h[k, :, None] * X[k], unchecked: synthesize_slot's blocked
+    BLAS sum of already ramped codewords."""
     Y = np.zeros((h.shape[1], X.shape[1]), dtype=np.complex128)
     for s in range(0, len(X), _DEVICE_BLOCK):
         Y += h[s : s + _DEVICE_BLOCK].T @ X[s : s + _DEVICE_BLOCK]
-    return math.sqrt(gamma) * Y
+    return Y
 
 
 def _slot_groups(landed: np.ndarray) -> list[np.ndarray]:
@@ -257,14 +264,16 @@ def frame_observations(
     Every device contributes every copy of every sub-block segment of its
     tree-coded message to the slot it lands in (access_pipeline.transmissions),
     with its block-static channel and delay.  Each slot group goes through
-    synthesize_slot.  A synchronous frame (one copy, zero delays) builds
-    its codewords group by group, so memory stays bounded by the most
-    crowded slot.  A two-copy frame builds every device's copy-0 codeword
+    synthesize_slot's blocked sum.  A synchronous frame (one copy, zero
+    delays) builds its codewords group by group, so memory stays bounded by
+    the most crowded slot.  A two-copy frame builds every device's copy-0 codeword
     of a sub-block in one (K, 2**m) table and ramps it in place, a chunk of
     devices at a time, so memory is bounded by that one table.  The copies
     differ only in the check bit b[m-2], so copy 1's ramped codeword is
     copy 0's negated wherever bit 1 of n-1 is set, an exact sign flip
-    applied to the table in place.  Each slot group sums its rows gathered
+    (access_pipeline._flip_check_bit) applied to the table in place.  The
+    ramped rows go straight to the blocked sum, as synthesize_slot would
+    sum them at zero delay.  Each slot group sums its rows gathered
     from the table in the same device order as from freshly built and
     ramped codewords, so the result is bit-identical to ramping each copy
     on its own.
@@ -296,21 +305,17 @@ def frame_observations(
                 )
     elif k:
         rows = max(1, _RAMP_SAMPLES // n)
-        zero_delay = np.zeros(k)
+        scale = math.sqrt(gamma)
         for j in range(n_sub):
             table = rm_samples_batch(Ps[:, j, 0], bs[:, j, 0])
             for s in range(0, k, rows):
                 table[s : s + rows] *= _ramp(pop.delta[s : s + rows], n)
             for c in range(2):
                 if c:
-                    # copy 1's check bit negates the samples n with bit 1
-                    # of n-1 set: entries 2 and 3 of every run of four
-                    flipped = table.reshape(k, n // 4, 4)[:, :, 2:]
-                    np.negative(flipped, out=flipped)
+                    _flip_check_bit(table)  # copy 0's ramped codewords -> copy 1's
                 for sel in _slot_groups(slots[:, j, c]):
-                    Y[j, slots[sel[0], j, c]] += synthesize_slot(
-                        table[sel], pop.h[sel], zero_delay[: len(sel)], gamma
-                    )
+                    # synthesize_slot of the ramped rows at zero delay
+                    Y[j, slots[sel[0], j, c]] += scale * _device_sum(table[sel], pop.h[sel])
             del table  # before the next sub-block's table is built
     Y.setflags(write=False)
     return Y

@@ -52,8 +52,23 @@ def binary_index(n: int, s: int) -> np.ndarray:
     n, s = int(n), int(s)
     if s < 0 or not 0 <= n < (1 << s):
         raise ValueError(f"index {n} does not fit in {s} bits")
-    shifts = np.arange(s - 1, -1, -1, dtype=np.int64)
-    return ((n >> shifts) & 1).astype(np.uint8)
+    return _msb_first(np.int64(n), s)
+
+
+def _msb_first(values, width: int) -> np.ndarray:
+    """binary_index of every entry of an int64 array or scalar, unchecked:
+    (..., width) uint8."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((values[..., None] >> shifts) & 1).astype(np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _bit_rows(width: int) -> np.ndarray:
+    """Row n is binary_index(n, width), n = 0..2**width-1: a read-only
+    (2**width, width) uint8 table."""
+    rows = _msb_first(np.arange(1 << width, dtype=np.int64), width)
+    rows.setflags(write=False)
+    return rows
 
 
 def as_bits(values) -> np.ndarray:
@@ -133,14 +148,20 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     k, m = bs.shape
     shifts = (2 * bs + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
     etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))[:, :, None]
+    return _samples(shifts, etas, k)
+
+
+def _samples(shifts, etas, k: int) -> np.ndarray:
+    """rm_samples_batch's recursion, unchecked: layer w = 0..m-1 of all k
+    sequences takes shifts[w] = 2*b[w] + P[w, w] (uint8) and, from w = 1,
+    the frequency etas[w], each a (k, 1) column or one int for every row."""
     # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
     # mod 4 waits for the last layer; layer 1 is [0, shift]
     expo = np.zeros((k, 2), dtype=np.uint8)
-    expo[:, 1] = shifts[0, :, 0]
-    for w in range(1, m):  # layer s = w + 1 appends the bit a[w]
+    expo[:, 1:] = shifts[0]
+    for w in range(1, len(shifts)):  # layer s = w + 1 appends the bit a[w]
         idx, twice_parity = _walsh_table(w)
-        odd = twice_parity[idx & etas[w]]
-        odd += expo
+        odd = expo + twice_parity[idx & etas[w]]
         odd += shifts[w]
         nxt = np.empty((k, 2 << w), dtype=np.uint8)
         nxt[:, 0::2] = expo
@@ -192,10 +213,16 @@ def wht(x: np.ndarray) -> np.ndarray:
     n = arr.size
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
+    return _wht(arr.astype(np.complex128, copy=True))
+
+
+def _wht(src: np.ndarray) -> np.ndarray:
+    """wht of a 1-D complex128 array of power-of-two length, unchecked; the
+    input is overwritten."""
     # Constant geometry: each pass writes the sums of adjacent entries to
     # the first half and their differences to the second, so every output
     # is the same chain of additions as radix-2 butterflies in place.
-    src = arr.astype(np.complex128, copy=True)
+    n = src.size
     dst = np.empty_like(src)
     for _ in range(n.bit_length() - 1):
         np.add(src[0::2], src[1::2], out=dst[: n // 2])
@@ -254,6 +281,24 @@ def bits_to_pair_batch(bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Ps.reshape(-1, m, m), bit_matrix[:, :m].copy()
 
 
+@lru_cache(maxsize=None)
+def _flat_positions(m: int) -> np.ndarray:
+    """Where each canonical bit of a pair sits in concatenate((b,
+    P.ravel())): b[i] at i, the upper-triangle entry (r, c) at m + r m + c.
+    Read-only."""
+    rows, cols = _triu_coords(m)
+    flat = np.concatenate([np.arange(m), m + rows * m + cols])
+    flat.setflags(write=False)
+    return flat
+
+
 def unpack_bits(P: np.ndarray, b: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """The pair's canonical bits at the given positions, in their order."""
-    return pair_to_bits(P, b)[..., positions]
+    P, b = _as_pairs(P, b)
+    return _gather_bits(P, b, _flat_positions(b.shape[-1])[positions])
+
+
+def _gather_bits(P: np.ndarray, b: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
+    """unpack_bits unchecked, taking flat indices into concatenate((b,
+    P.ravel())) (_flat_positions) instead of canonical positions."""
+    return np.concatenate((b, P.reshape(P.shape[:-2] + (-1,))), axis=-1)[..., flat_index]

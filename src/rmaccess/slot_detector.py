@@ -13,17 +13,41 @@ search then reconciles into one delay estimate.  The reconstructed signal is
 subtracted and the loop repeats until the residual drops under a threshold,
 an iteration cap is hit, or cancellation stops helping (that last detection
 is dropped and the loop stops).
+
+detect_slot checks its input once, at the boundary, and then runs private
+kernels with no per-call checks; DetectorConfig checks its fields when it is
+built.  Each public step (correlate_layer, peak_search, decode_polarity,
+fold_layer, estimate_final, refine_delay, reconstruct_signal) is its input
+checks followed by the kernel detect_slot runs, so every step has one code
+path.  Angles go through numpy's arctan2 as np.angle computes them; scalar
+exponentials, floors and wraps use cmath, math and float arithmetic, which
+give the same bits as numpy's scalar forms.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rm_codec import _IOTA_POW, as_bits, binary_index, rm_samples, walsh_factor, wht
+# wht and walsh_factor are not called here; perfbench/tracing.py wraps them
+# under these names
+from .rm_codec import (
+    _IOTA_POW,
+    _bit_rows,
+    _samples,
+    _walsh_table,
+    _walsh_values,
+    _wht,
+    as_bits,
+    rm_samples,
+    walsh_factor,
+    wht,
+)
 
 __all__ = [
     "Detection",
@@ -40,6 +64,8 @@ __all__ = [
 
 
 _INV_2PI = 1.0 / (2.0 * np.pi)
+# conj(i**q), q = 0..3, as Python complex scalars
+_IOTA_CONJ = tuple(complex(z) for z in np.conj(_IOTA_POW))
 
 
 def _wrap(x):
@@ -57,7 +83,8 @@ class DetectorConfig:
     scalar grid search that reconciles the m wrapped delay components.
     estimate_delay=False selects the synchronous variant: no timing phases
     anywhere and the top layer's polarity is decoded as data instead of
-    being forced to zero.
+    being forced to zero.  k_max must be an int (not a bool) and
+    estimate_delay a bool; detect_slot's kernels trust every field.
     """
 
     k_max: int
@@ -67,8 +94,13 @@ class DetectorConfig:
     estimate_delay: bool = True
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+        k_max = self.k_max
+        if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 1:
+            raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+        if not isinstance(self.estimate_delay, (bool, np.bool_)):
+            raise ValueError(f"estimate_delay must be a bool, got {self.estimate_delay!r}")
+        object.__setattr__(self, "k_max", int(k_max))
+        object.__setattr__(self, "estimate_delay", bool(self.estimate_delay))
         if math.isnan(self.eps):
             raise ValueError("eps must not be NaN")
         if not (math.isfinite(self.refine_resolution) and self.refine_resolution > 0):
@@ -81,7 +113,10 @@ class DetectorConfig:
 class Detection:
     """One detected transmission: its pair (P, b), channel estimate (scaled
     by sqrt(gamma)), delay estimate, the raw per-layer delay components, and
-    the residual norms around its cancellation.  The arrays are read-only."""
+    the residual norms around its cancellation.  signal, when given, is the
+    (antennas, 2**m) contribution that was cancelled,
+    reconstruct_signal(P, b, h_hat, delta_hat); detect_slot sets it.  The
+    arrays are read-only."""
 
     P: np.ndarray
     b: np.ndarray
@@ -91,17 +126,48 @@ class Detection:
     residual_before: float
     residual_after: float
     iteration: int
+    signal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, arr in (
+        arrays = [
             ("P", as_bits(self.P)),
             ("b", as_bits(self.b)),
             ("h_hat", np.asarray(self.h_hat, dtype=np.complex128)),
             ("delta_components", np.asarray(self.delta_components, dtype=np.float64)),
-        ):
+        ]
+        if self.signal is not None:
+            signal = np.asarray(self.signal, dtype=np.complex128)
+            if signal.shape != (arrays[2][1].size, 1 << arrays[1][1].size):
+                raise ValueError(f"signal must be (antennas, 2**m), got shape {signal.shape}")
+            arrays.append(("signal", signal))
+        for name, arr in arrays:
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+@functools.lru_cache(maxsize=None)
+def _n_index(m: int) -> np.ndarray:
+    """n = 1..2**m, the sample numbers of the delay ramp.  Read-only."""
+    n_idx = np.arange(1, (1 << m) + 1)
+    n_idx.setflags(write=False)
+    return n_idx
+
+
+@functools.lru_cache(maxsize=None)
+def _walsh_conj(width: int) -> np.ndarray:
+    """Row c is the conjugate of rm_codec's Walsh row c, so that
+    row[2 b + beta][idx & freq] is conj(walsh_factor(freq, width, b, beta)).
+    Read-only."""
+    rows = np.conj(_walsh_values(width))
+    rows.setflags(write=False)
+    return rows
+
+
+def _angle(z: complex) -> float:
+    """Arg z as np.angle computes it, through numpy's arctan2 (math.atan2
+    rounds differently on some inputs)."""
+    return float(np.arctan2(z.imag, z.real))
 
 
 def correlate_layer(Y: np.ndarray) -> np.ndarray:
@@ -116,6 +182,10 @@ def correlate_layer(Y: np.ndarray) -> np.ndarray:
         raise ValueError("expected an antennas x columns matrix")
     if Y.shape[1] % 2 != 0:
         raise ValueError(f"column count must be even, got {Y.shape[1]}")
+    return _correlate(Y)
+
+
+def _correlate(Y: np.ndarray) -> np.ndarray:
     return np.einsum("ln,ln->n", Y[:, 1::2], np.conj(Y[:, 0::2]))
 
 
@@ -131,7 +201,11 @@ def peak_search(t: np.ndarray) -> tuple[int, complex]:
     n = t.size
     if n & (n - 1) != 0:
         raise ValueError(f"transform length must be a power of two, got {n}")
-    idx = int(np.argmax(np.abs(t)))
+    return _peak(t)
+
+
+def _peak(t: np.ndarray) -> tuple[int, complex]:
+    idx = int(np.abs(t).argmax())
     return idx, complex(t[idx])
 
 
@@ -146,11 +220,14 @@ def decode_polarity(peak: complex, phase_comp: float) -> tuple[int, int, float]:
     peak = complex(peak)
     if peak == 0:
         raise ValueError("zero peak; polarity is ambiguous")
-    rotated = peak * np.exp(1j * phase_comp)
-    quadrant = int(np.floor((np.angle(rotated) + np.pi / 4) / (np.pi / 2))) % 4
-    b_bit, beta_bit = quadrant >> 1, quadrant & 1
-    component = float(_wrap(-np.angle(peak * np.conj(_IOTA_POW[quadrant]))))
-    return b_bit, beta_bit, component
+    return _polarity(peak, float(phase_comp))
+
+
+def _polarity(peak: complex, phase_comp: float) -> tuple[int, int, float]:
+    rotated = peak * cmath.exp(1j * phase_comp)
+    quadrant = math.floor((_angle(rotated) + np.pi / 4) / (np.pi / 2)) % 4
+    component = _wrap(-_angle(peak * _IOTA_CONJ[quadrant]))
+    return quadrant >> 1, quadrant & 1, component
 
 
 def fold_layer(Y: np.ndarray, V_hat: np.ndarray, delta_hat_layer: float) -> np.ndarray:
@@ -166,7 +243,12 @@ def fold_layer(Y: np.ndarray, V_hat: np.ndarray, delta_hat_layer: float) -> np.n
     V_hat = np.asarray(V_hat)
     if V_hat.shape != (Y.shape[1] // 2,):
         raise ValueError("V_hat must have half as many entries as Y has columns")
-    return 0.5 * (np.exp(-1j * delta_hat_layer) * Y[:, 0::2] + np.conj(V_hat)[None, :] * Y[:, 1::2])
+    return _fold(Y, np.conj(V_hat), float(delta_hat_layer))
+
+
+def _fold(Y: np.ndarray, V_conj: np.ndarray, delta: float) -> np.ndarray:
+    """fold_layer unchecked, taking conj(V_hat)."""
+    return 0.5 * (cmath.exp(-1j * delta) * Y[:, 0::2] + V_conj[None, :] * Y[:, 1::2])
 
 
 def estimate_final(
@@ -182,16 +264,24 @@ def estimate_final(
     Y1 = np.asarray(Y1)
     if Y1.ndim != 2 or Y1.shape[1] != 2:
         raise ValueError("expected an antennas x 2 matrix")
+    out = _final(Y1, float(delta_prev), bool(estimate_delay))
+    if out is None:
+        raise ValueError("zero correlation; final layer is ambiguous")
+    return out
+
+
+def _final(Y1: np.ndarray, delta_prev: float, estimate_delay: bool):
+    """estimate_final unchecked; None when the correlation is zero."""
     y_corr = complex(np.einsum("l,l->", Y1[:, 1], np.conj(Y1[:, 0])))
     if y_corr == 0:
-        raise ValueError("zero correlation; final layer is ambiguous")
+        return None
     comp_phase = 2.0 * delta_prev if estimate_delay else 0.0
-    b1, beta1, comp_m = decode_polarity(y_corr, comp_phase)
+    b1, beta1, comp_m = _polarity(y_corr, comp_phase)
     if not estimate_delay:
         comp_m = 0.0
-    polarity = _IOTA_POW[(2 * b1 + beta1) & 3]
+    polarity_conj = _IOTA_CONJ[(2 * b1 + beta1) & 3]
     h_hat = 0.5 * (
-        Y1[:, 0] * np.exp(1j * comp_m) + np.conj(polarity) * np.exp(2j * comp_m) * Y1[:, 1]
+        Y1[:, 0] * cmath.exp(1j * comp_m) + polarity_conj * cmath.exp(2j * comp_m) * Y1[:, 1]
     )
     return b1, beta1, comp_m, h_hat
 
@@ -235,6 +325,10 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
         raise ValueError("need at least two delay components")
     if not np.all(np.abs(components) <= np.pi):
         raise ValueError("delay components must be finite and in [-pi, pi]")
+    return _refine(components, cfg)
+
+
+def _refine(components: np.ndarray, cfg: DetectorConfig) -> float:
     m = components.size
     first = components[0]
     offsets, scale, turns = _delay_grid(cfg.refine_window, cfg.refine_resolution, m)
@@ -259,7 +353,7 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     grid = first - offsets[keep]
     predicted = _wrap(scale[:, None] * grid[None, :])
     residual = np.cumsum(_wrap(components[:, None] - predicted) ** 2, axis=0)[-1]
-    return float(_wrap(grid[int(np.argmin(residual))]))
+    return _wrap(float(grid[residual.argmin()]))
 
 
 def reconstruct_signal(
@@ -269,56 +363,69 @@ def reconstruct_signal(
     outer(h_hat, X * ramp) with ramp[n-1] = exp(-i * delta_hat * n),
     n = 1..2**m (h_hat carries the sqrt(gamma) scale)."""
     samples = rm_samples(P, b)
-    n_idx = np.arange(1, samples.size + 1)
-    return np.ravel(h_hat)[:, None] * (samples * np.exp(-1j * delta_hat * n_idx))
+    n_idx = _n_index(samples.size.bit_length() - 1)
+    return _reconstruct(samples, np.ravel(h_hat), delta_hat, n_idx)
+
+
+def _reconstruct(samples: np.ndarray, h_hat: np.ndarray, delta_hat: float, n_idx: np.ndarray):
+    return h_hat[:, None] * (samples * np.exp(-1j * delta_hat * n_idx))
 
 
 def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
-    """One pass down the layers: pair, channel and delay of the strongest
-    transmission in Y, or None if a peak degenerates to zero."""
+    """One pass down the layers: pair, channel, delay, delay components and
+    reconstructed signal of the strongest transmission in Y, or None if a
+    peak degenerates to zero."""
+    estimate_delay = cfg.estimate_delay
     P = np.zeros((m, m), dtype=np.uint8)
     b = np.zeros(m, dtype=np.uint8)
     components = np.zeros(m, dtype=np.float64)
+    # per layer w = s - 1: the shift 2 b + beta and the frequency, as
+    # rm_samples_batch's recursion takes them
+    shifts = [0] * m
+    freqs = [0] * m
     Ys = Y
     prev = 0.0
     for s in range(m, 1, -1):
-        t = wht(correlate_layer(Ys))
-        freq, peak = peak_search(t)
+        w = s - 1
+        freq, peak = _peak(_wht(_correlate(Ys)))
         if peak == 0:
             return None
-        if s == m and cfg.estimate_delay:
+        if s == m and estimate_delay:
             # reserved zeros: the whole peak phase is timing
             b_s, beta_s = 0, 0
-            comp = float(_wrap(-np.angle(peak)))
+            comp = _wrap(-_angle(peak))
         else:
-            comp_phase = 2.0 * prev if cfg.estimate_delay else 0.0
-            b_s, beta_s, comp = decode_polarity(peak, comp_phase)
-            if not cfg.estimate_delay:
+            b_s, beta_s, comp = _polarity(peak, 2.0 * prev if estimate_delay else 0.0)
+            if not estimate_delay:
                 comp = 0.0
-        eta = binary_index(freq, s - 1)
-        P[: s - 1, s - 1] = eta
-        P[s - 1, : s - 1] = eta
-        P[s - 1, s - 1] = beta_s
-        b[s - 1] = b_s
+        eta = _bit_rows(w)[freq]
+        P[:w, w] = eta
+        P[w, :w] = eta
+        P[w, w] = beta_s
+        b[w] = b_s
         components[m - s] = comp
-        Ys = fold_layer(Ys, walsh_factor(freq, s - 1, b_s, beta_s), comp)
+        shifts[w] = 2 * b_s + beta_s
+        freqs[w] = freq
+        Ys = _fold(Ys, _walsh_conj(w)[shifts[w]][_walsh_table(w)[0] & freq], comp)
         prev = comp
-    try:
-        b1, beta1, comp_m, h_hat = estimate_final(Ys, prev, cfg.estimate_delay)
-    except ValueError:
+    final = _final(Ys, prev, estimate_delay)
+    if final is None:
         return None
+    b1, beta1, comp_m, h_hat = final
     b[0] = b1
     P[0, 0] = beta1
     components[m - 1] = comp_m
-    delta_hat = refine_delay(components, cfg) if cfg.estimate_delay else 0.0
-    return P, b, h_hat, delta_hat, components
+    shifts[0] = 2 * b1 + beta1
+    delta_hat = _refine(components, cfg) if estimate_delay else 0.0
+    signal = _reconstruct(_samples(shifts, freqs, 1)[0], h_hat, delta_hat, _n_index(m))
+    return P, b, h_hat, delta_hat, components, signal
 
 
 def _norm(Y: np.ndarray) -> float:
     """Frobenius norm of a C-contiguous complex array through numpy's own
     sum: np.linalg.norm takes a BLAS dot for complex input, whose last bits
     follow the BLAS thread count."""
-    return math.sqrt(np.sum(np.square(Y.view(np.float64))))
+    return math.sqrt(np.square(Y.view(np.float64)).sum())
 
 
 def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
@@ -328,8 +435,9 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
     Runs while the residual Frobenius norm exceeds cfg.eps and fewer than
     cfg.k_max iterations have been spent.  A detection whose cancellation
     does not shrink the residual is discarded and ends the loop.  Returns
-    detections in the order found (strongest first on clean scenes); the
-    input is never mutated.  A non-finite observation raises.
+    detections in the order found (strongest first on clean scenes), each
+    carrying the signal it cancelled; the input is never mutated.  A
+    non-finite observation raises.
     """
     Y = np.ascontiguousarray(Y, dtype=np.complex128)  # never written to
     if Y.ndim != 2:
@@ -348,22 +456,13 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
         est = _estimate_strongest(Y, m, cfg)
         if est is None:
             break
-        P, b, h_hat, delta_hat, components = est
-        Y_next = Y - reconstruct_signal(P, b, h_hat, delta_hat)
+        P, b, h_hat, delta_hat, components, signal = est
+        Y_next = Y - signal
         residual_next = _norm(Y_next)
         if residual_next >= residual:
             break  # cancellation stopped helping; drop this detection
         detections.append(
-            Detection(
-                P=P,
-                b=b,
-                h_hat=h_hat,
-                delta_hat=delta_hat,
-                delta_components=components,
-                residual_before=residual,
-                residual_after=residual_next,
-                iteration=k,
-            )
+            Detection(P, b, h_hat, delta_hat, components, residual, residual_next, k, signal)
         )
         Y = Y_next
         residual = residual_next

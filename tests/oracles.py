@@ -2,8 +2,9 @@
 Reed-Muller quadratic form evaluated over a table of bit vectors, the Walsh
 factor from its definition, the Walsh-Hadamard transform as radix-2
 butterflies, the noise-free slot built through the time domain and as one
-unblocked einsum, and the segment layout written out field by field with a
-one-pair encoder on it.  A pair is a tuple (P, b) of uint8 arrays, as the
+unblocked einsum, the segment layout written out field by field with a
+one-pair encoder on it, the delay search over its full grid, and the
+detector's estimate-and-cancel loop in numpy's own forms.  A pair is a tuple (P, b) of uint8 arrays, as the
 package carries it."""
 
 import math
@@ -178,3 +179,110 @@ def segment_pair(segment, frame, secondary=False):
         bits[list(payload)] = segment[2 * p :]
         bits[check] = secondary
     return pair_from_bits(bits)
+
+
+def _wrap(x):
+    return (x + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def full_grid_delay(components, cfg):
+    """The full-grid delay search refine_delay replaced, kept verbatim as its
+    oracle: every grid point's residual, then the first argmin."""
+    components = np.asarray(components, dtype=np.float64)
+    first = components[0]
+    steps = int(round(cfg.refine_window / cfg.refine_resolution))
+    grid = first - np.arange(-steps, steps + 1) * cfg.refine_resolution
+    scale = 2.0 ** np.arange(components.size)
+    predicted = _wrap(scale[:, None] * grid[None, :])
+    residual = np.sum(_wrap(components[:, None] - predicted) ** 2, axis=0)
+    return float(_wrap(grid[int(np.argmin(residual))]))
+
+
+def _polarity(peak, phase_comp):
+    """(b, beta, delay component) of a WHT peak through numpy's scalar forms."""
+    rotated = peak * np.exp(1j * phase_comp)
+    quadrant = int(np.floor((np.angle(rotated) + np.pi / 4) / (np.pi / 2))) % 4
+    component = float(_wrap(-np.angle(peak * np.conj(IOTA_POW[quadrant]))))
+    return quadrant >> 1, quadrant & 1, component
+
+
+def _estimate_strongest(Y, m, cfg):
+    """One pass down the layers, every step in numpy's own forms and every
+    table from the oracles above: (P, b, h_hat, delta_hat, components,
+    reconstructed signal) of the strongest transmission, or None if a peak
+    degenerates to zero."""
+    estimate_delay = cfg.estimate_delay
+    P = np.zeros((m, m), dtype=np.uint8)
+    b = np.zeros(m, dtype=np.uint8)
+    components = np.zeros(m, dtype=np.float64)
+    Ys = Y
+    prev = 0.0
+    for s in range(m, 1, -1):
+        w = s - 1
+        t = radix2_wht(np.einsum("ln,ln->n", Ys[:, 1::2], np.conj(Ys[:, 0::2])))
+        freq = int(np.argmax(np.abs(t)))
+        peak = complex(t[freq])
+        if peak == 0:
+            return None
+        if s == m and estimate_delay:
+            # reserved zeros: the whole peak phase is timing
+            b_s, beta_s = 0, 0
+            comp = float(_wrap(-np.angle(peak)))
+        else:
+            b_s, beta_s, comp = _polarity(peak, 2.0 * prev if estimate_delay else 0.0)
+            if not estimate_delay:
+                comp = 0.0
+        eta = bit_table(w)[freq]
+        P[:w, w] = eta
+        P[w, :w] = eta
+        P[w, w] = beta_s
+        b[w] = b_s
+        components[m - s] = comp
+        V_conj = np.conj(bit_table_walsh_factor(eta, b_s, beta_s))
+        Ys = 0.5 * (np.exp(-1j * comp) * Ys[:, 0::2] + V_conj[None, :] * Ys[:, 1::2])
+        prev = comp
+    y_corr = complex(np.einsum("l,l->", Ys[:, 1], np.conj(Ys[:, 0])))
+    if y_corr == 0:
+        return None
+    b1, beta1, comp_m = _polarity(y_corr, 2.0 * prev if estimate_delay else 0.0)
+    if not estimate_delay:
+        comp_m = 0.0
+    polarity = IOTA_POW[(2 * b1 + beta1) & 3]
+    h_hat = 0.5 * (Ys[:, 0] * np.exp(1j * comp_m) + np.conj(polarity) * np.exp(2j * comp_m) * Ys[:, 1])
+    b[0] = b1
+    P[0, 0] = beta1
+    components[m - 1] = comp_m
+    delta_hat = full_grid_delay(components, cfg) if estimate_delay else 0.0
+    samples = einsum_samples_batch(P[None], b[None])[0]
+    signal = h_hat[:, None] * (samples * np.exp(-1j * delta_hat * np.arange(1, (1 << m) + 1)))
+    return P, b, h_hat, delta_hat, components, signal
+
+
+def reference_detect_slot(Y, cfg):
+    """detect_slot's estimate-and-cancel loop with every step in numpy's
+    own forms (np.exp, np.floor, np.angle, numpy products and wraps), the
+    Walsh factors, samples and WHT from the oracles above and the full-grid
+    delay search: a list of (P, b, h_hat, delta_hat, components,
+    residual_before, residual_after, iteration, cancelled signal) tuples in
+    the order found.  Y must be a C-contiguous complex (antennas, 2**m)
+    array."""
+    m = Y.shape[1].bit_length() - 1
+    detections = []
+    k = 0
+    residual = math.sqrt(np.sum(np.square(Y.view(np.float64))))
+    while residual > cfg.eps and k < cfg.k_max:
+        k += 1
+        est = _estimate_strongest(Y, m, cfg)
+        if est is None:
+            break
+        P, b, h_hat, delta_hat, components, signal = est
+        Y_next = Y - signal
+        residual_next = math.sqrt(np.sum(np.square(Y_next.view(np.float64))))
+        if residual_next >= residual:
+            break
+        detections.append(
+            (P, b, h_hat, delta_hat, components, residual, residual_next, k, signal)
+        )
+        Y = Y_next
+        residual = residual_next
+    return detections

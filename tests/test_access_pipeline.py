@@ -2,8 +2,12 @@
 plans and slot assignment, and the full frame decoder on constructed
 scenes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bits_value, segment_pair
 from rmaccess import access_pipeline, slot_detector
@@ -28,7 +32,7 @@ from rmaccess.rm_codec import (
     rm_samples,
     unpack_bits,
 )
-from rmaccess.slot_detector import DetectorConfig
+from rmaccess.slot_detector import DetectorConfig, reconstruct_signal
 
 
 def test_frame_sizes_at_standard_points():
@@ -244,6 +248,30 @@ def test_transmissions_match_oracle_pairs_and_slots():
             transmissions(np.zeros(shape, np.uint8), cfg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_flipped_reconstruction_is_the_other_copys(m, seed):
+    """The check-bit flip turns copy c's reconstructed signal into copy
+    1 - c's in place, bit for bit, for any channel, delay and memory
+    layout."""
+    cfg = FrameConfig(m, 1)
+    rng = np.random.default_rng(seed)
+    segment = rng.integers(0, 2, size=cfg.segment_bits, dtype=np.uint8)
+    Ps, bs, _ = transmissions(segment, cfg)
+    r = int(rng.integers(1, 5))
+    h = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    delta = float(rng.choice([0.0, rng.uniform(-math.pi, math.pi)]))
+    for c in (0, 1):
+        signal = reconstruct_signal(Ps[c], bs[c], h, delta)
+        access_pipeline._flip_check_bit(signal)
+        expected = reconstruct_signal(Ps[1 - c], bs[1 - c], h, delta)
+        assert signal.tobytes() == expected.tobytes()
+        # in place on any memory layout
+        strided = np.asfortranarray(reconstruct_signal(Ps[c], bs[c], h, delta))
+        access_pipeline._flip_check_bit(strided)
+        assert np.ascontiguousarray(strided).tobytes() == expected.tobytes()
+
+
 def test_draw_messages():
     cfg = FrameConfig(m=5, p=2, d=1)
     rng = np.random.default_rng(68)
@@ -326,28 +354,22 @@ def _one_device_slot(pair, h, delta):
 
 
 def test_decode_frame_queues_the_other_copys_pair(monkeypatch):
-    """The pair decode_frame queues for cancellation in a message's other
-    slot is that copy's pair as the field-by-field encoder builds it: the
-    secondary copy when the primary slot comes first, the primary one
-    otherwise."""
+    """What decode_frame cancels in a message's other slot, before the
+    detector sees it, is that copy's signal as reconstruct_signal builds it
+    from the field-by-field encoder's pair and the first detection's
+    estimates: the secondary copy when the primary slot comes first, the
+    primary one otherwise.  Every other slot reaches the detector as
+    observed."""
     frame = FrameConfig(m=4, p=2, d=0)
-    detect, reconstruct = slot_detector.detect_slot, slot_detector.reconstruct_signal
-    inside_detect, queued = [], []
+    detect = slot_detector.detect_slot
+    seen, found = [], []
 
     def spy_detect(Y, cfg):
-        inside_detect.append(True)
-        try:
-            return detect(Y, cfg)
-        finally:
-            inside_detect.pop()
-
-    def spy_reconstruct(P, b, h, delta):
-        if not inside_detect:  # not the detector's own cancellation
-            queued.append((P.copy(), b.copy()))
-        return reconstruct(P, b, h, delta)
+        seen.append(np.array(Y))
+        found.append(detect(Y, cfg))
+        return found[-1]
 
     monkeypatch.setattr(slot_detector, "detect_slot", spy_detect)
-    monkeypatch.setattr(slot_detector, "reconstruct_signal", spy_reconstruct)
     rng = np.random.default_rng(2)
     orders = set()
     for _ in range(8):
@@ -355,15 +377,20 @@ def test_decode_frame_queues_the_other_copys_pair(monkeypatch):
         segs, slots = _plan(info, frame)
         primary_first = bool(slots[0, 0, 0] < slots[0, 0, 1])
         orders.add(primary_first)
+        first, other = sorted(int(s) for s in slots[0, 0])
         pop = _population(info, [[1.0, 0.5j]], [0.3])
         obs = frame_observations(pop, frame, NOISELESS)
-        queued.clear()
+        seen.clear()
+        found.clear()
         out = decode_frame(obs, DetectorConfig(k_max=2, eps=1e-9), frame)
         np.testing.assert_array_equal(out.messages[0], info[0])
+        assert len(seen) == frame.n_slots
+        (det,) = found[first]
         P, b = segment_pair(segs[0, 0], frame, primary_first)
-        assert len(queued) == 1
-        np.testing.assert_array_equal(queued[0][0], P)
-        np.testing.assert_array_equal(queued[0][1], b)
+        cancelled = obs[0, other] - slot_detector.reconstruct_signal(P, b, det.h_hat, det.delta_hat)
+        assert seen[other].tobytes() == cancelled.tobytes()
+        for i in set(range(frame.n_slots)) - {other}:
+            assert seen[i].tobytes() == obs[0, i].tobytes()
     assert orders == {True, False}
 
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import einsum_samples_batch, segment_pair
+from oracles import einsum_samples_batch, full_grid_delay, reference_detect_slot, segment_pair
 from rmaccess import slot_detector
 from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.geometry_channel import expected_neighbors, synthesize_slot
-from rmaccess.rm_codec import rm_samples, walsh_factor
+from rmaccess.rm_codec import rm_samples, rm_samples_batch, walsh_factor
 from rmaccess.sim_cli import ExperimentSpec
 from rmaccess.slot_detector import (
     Detection,
@@ -63,6 +63,31 @@ def test_detector_config_validation():
         DetectorConfig(k_max=1, eps=1.0, refine_window=-0.1)
     # an infinite eps declares every slot empty
     assert DetectorConfig(k_max=1, eps=math.inf).eps == math.inf
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"k_max": 2.5},
+        {"k_max": 2.0},
+        {"k_max": True},
+        {"k_max": math.inf},
+        {"k_max": "3"},
+        {"k_max": 1, "estimate_delay": "yes"},
+        {"k_max": 1, "estimate_delay": 1},
+        {"k_max": 1, "estimate_delay": None},
+    ],
+)
+def test_detector_config_rejects_bad_types(bad):
+    name = "estimate_delay" if "estimate_delay" in bad else "k_max"
+    with pytest.raises(ValueError, match=name):
+        DetectorConfig(eps=1.0, **bad)
+
+
+def test_detector_config_takes_numpy_scalars():
+    cfg = DetectorConfig(k_max=np.int64(3), eps=1.0, estimate_delay=np.bool_(False))
+    assert type(cfg.k_max) is int and cfg.k_max == 3
+    assert cfg.estimate_delay is False
 
 
 def test_detector_config_rejects_nan_eps():
@@ -197,19 +222,6 @@ def test_refine_delay_reconciles_components():
     assert refine_delay(comps, cfg0) == pytest.approx(comps[0])
     with pytest.raises(ValueError):
         refine_delay(np.array([0.1]), cfg)
-
-
-def full_grid_delay(components, cfg):
-    """The full-grid delay search refine_delay replaced, kept verbatim as its
-    oracle: every grid point's residual, then the first argmin."""
-    components = np.asarray(components, dtype=np.float64)
-    first = components[0]
-    steps = int(round(cfg.refine_window / cfg.refine_resolution))
-    grid = first - np.arange(-steps, steps + 1) * cfg.refine_resolution
-    scale = 2.0 ** np.arange(components.size)
-    predicted = wrap(scale[:, None] * grid[None, :])
-    residual = np.sum(wrap(components[:, None] - predicted) ** 2, axis=0)
-    return float(wrap(grid[int(np.argmin(residual))]))
 
 
 def tied_components(m, first, j, resolution):
@@ -449,8 +461,60 @@ def test_detection_arrays_are_read_only():
         det.P[0, 0] ^= 1
     with pytest.raises(ValueError):
         det.b[0] ^= 1
+    assert not det.signal.flags.writeable
     with pytest.raises(ValueError, match="0 or 1"):
         Detection(np.array([[2]]), np.array([0]), np.ones(1), 0.0, np.zeros(1), 1.0, 0.5, 1)
+    with pytest.raises(ValueError, match="signal"):
+        Detection(det.P, det.b, det.h_hat, 0.1, det.delta_components, 1.0, 0.5, 1, np.ones((2, 8)))
+    built = Detection(det.P, det.b, det.h_hat, 0.1, det.delta_components, 1.0, 0.5, 1, det.signal)
+    assert not built.signal.flags.writeable
+
+
+@st.composite
+def slot_scenes(draw):
+    """A slot carrying 1-4 random pairs (asynchronous ones with the reserved
+    zeros) at m = 3..8 over r = 1..4 antennas, with or without noise, and a
+    detector of the matching variant."""
+    m, r, k = draw(st.integers(3, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    synchronous, noisy = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, 2, size=(k, m, m), dtype=np.uint8))
+    Ps = upper | np.swapaxes(upper, 1, 2)
+    bs = rng.integers(0, 2, size=(k, m), dtype=np.uint8)
+    if not synchronous:
+        Ps[:, m - 1, m - 1] = bs[:, m - 1] = 0
+    h = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    h *= rng.uniform(0.2, 3.0, (k, 1))
+    delta = np.zeros(k) if synchronous else rng.uniform(-math.pi, math.pi, k)
+    Y = synthesize_slot(rm_samples_batch(Ps, bs), h, delta, 1.0)
+    if noisy:
+        Y = Y + 0.3 * (rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
+    cfg = DetectorConfig(
+        k_max=draw(st.integers(1, 6)),
+        eps=draw(st.sampled_from([0.0, 1e-9, 1.0])),
+        estimate_delay=not synchronous,
+    )
+    return Y, cfg
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_scenes())
+def test_detect_slot_equals_numpy_reference(scene):
+    """The kernel loop returns, bit for bit, what the same steps give in
+    numpy's own forms over the oracle tables, the cancelled signal
+    included."""
+    Y, cfg = scene
+    got = detect_slot(Y, cfg)
+    want = reference_detect_slot(Y, cfg)
+    assert len(got) == len(want)
+    for det, expected in zip(got, want):
+        fields = (det.P, det.b, det.h_hat, det.delta_hat, det.delta_components)
+        fields += (det.residual_before, det.residual_after, det.iteration, det.signal)
+        assert [_bits(x) for x in fields] == [_bits(x) for x in expected]
 
 
 _BLAS_PROBE = """
