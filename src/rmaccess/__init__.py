@@ -26,7 +26,6 @@ from .geometry_channel import (
     synthesize_slot,
 )
 from .rm_codec import (
-    binary_index,
     bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # codec
-    "binary_index",
     "bits_to_pair_batch",
     "pair_to_bits",
     "rm_samples",

@@ -27,8 +27,11 @@ group through the same blocked product.  A device's two asynchronous
 copies share h and Delta and differ only in the check bit, a fixed sign
 pattern over n, so a two-copy frame
 builds and ramps each device's codeword once per sub-block, into one
-(K, 2**m) table that copy 1 reuses after an in-place sign flip; a
-synchronous frame holds no table.  The tests pin the model down against an
+(K, 2**m) table that copy 1 reuses after an in-place sign flip.  A
+synchronous frame holds no table: it builds each slot group's uint8
+exponents once, 1 byte a sample, and looks up the codewords of one block
+of devices at a time into one reused buffer, just before that block's
+product.  The tests pin the model down against an
 oracle that rebuilds the noise-free observation the long way
 (continuous-time waveform, sampling, prefix discard, DFT).
 
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access_pipeline import FrameConfig, _flip_check_bit, draw_messages, transmissions, tree_encode
-from .rm_codec import rm_samples_batch
+from .rm_codec import _lookup, _pair_exponents, rm_samples_batch
 
 __all__ = [
     "GeometryConfig",
@@ -233,16 +236,34 @@ def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: floa
     _check_stack(X, h, delta)
     if delta.any():
         X = X * _ramp(delta, X.shape[1])
-    return math.sqrt(gamma) * _device_sum(X, h)
+    return math.sqrt(gamma) * _device_sum(h, X.shape[1], lambda s: X[s : s + _DEVICE_BLOCK])
 
 
-def _device_sum(X: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_k h[k, :, None] * X[k], unchecked: synthesize_slot's blocked
-    BLAS sum of already ramped codewords."""
-    Y = np.zeros((h.shape[1], X.shape[1]), dtype=np.complex128)
-    for s in range(0, len(X), _DEVICE_BLOCK):
-        Y += h[s : s + _DEVICE_BLOCK].T @ X[s : s + _DEVICE_BLOCK]
+def _device_sum(h: np.ndarray, n: int, block) -> np.ndarray:
+    """sum_k h[k, :, None] * X[k] over the already ramped codewords X (k, n)
+    of the k devices of h (k, r), unchecked: synthesize_slot's blocked BLAS
+    sum.  block(s) returns X[s : s + _DEVICE_BLOCK], so a caller may build
+    each block's codewords only when it is summed."""
+    Y = np.zeros((h.shape[1], n), dtype=np.complex128)
+    for s in range(0, len(h), _DEVICE_BLOCK):
+        Y += h[s : s + _DEVICE_BLOCK].T @ block(s)
     return Y
+
+
+def _codeword_blocks(expo: np.ndarray, delta: np.ndarray, out: np.ndarray):
+    """_device_sum's block(s) for devices with uint8 exponents expo (k, n)
+    and delays delta (k,): their codewords looked up into out, a
+    (_DEVICE_BLOCK, n) complex buffer, and ramped in place unless every
+    delay is zero, as synthesize_slot would ramp the whole stack."""
+    ramped = delta.any()
+
+    def block(s: int) -> np.ndarray:
+        X = _lookup(expo[s : s + _DEVICE_BLOCK], out)
+        if ramped:
+            X *= _ramp(delta[s : s + _DEVICE_BLOCK], X.shape[1])
+        return X
+
+    return block
 
 
 def _slot_groups(landed: np.ndarray) -> list[np.ndarray]:
@@ -265,18 +286,21 @@ def frame_observations(
     tree-coded message to the slot it lands in (access_pipeline.transmissions),
     with its block-static channel and delay.  Each slot group goes through
     synthesize_slot's blocked sum.  A synchronous frame (one copy, zero
-    delays) builds its codewords group by group, so memory stays bounded by
-    the most crowded slot.  A two-copy frame builds every device's copy-0 codeword
-    of a sub-block in one (K, 2**m) table and ramps it in place, a chunk of
-    devices at a time, so memory is bounded by that one table.  The copies
-    differ only in the check bit b[m-2], so copy 1's ramped codeword is
-    copy 0's negated wherever bit 1 of n-1 is set, an exact sign flip
+    delays) builds each slot group's uint8 exponents once (rm_codec) and
+    looks up the codewords of one _DEVICE_BLOCK of devices at a time into one
+    reused buffer, the very blocks synthesize_slot would sum, so memory stays
+    at about a byte a sample of the most crowded slot plus that buffer.  A
+    two-copy frame builds every device's copy-0 codeword of a sub-block in
+    one (K, 2**m) table and ramps it in place, a chunk of devices at a time,
+    so memory is bounded by that one table.  The copies differ only in the
+    check bit b[m-2], so copy 1's ramped codeword is copy 0's negated
+    wherever bit 1 of n-1 is set, an exact sign flip
     (access_pipeline._flip_check_bit) applied to the table in place.  The
     ramped rows go straight to the blocked sum, as synthesize_slot would
-    sum them at zero delay.  Each slot group sums its rows gathered
-    from the table in the same device order as from freshly built and
-    ramped codewords, so the result is bit-identical to ramping each copy
-    on its own.
+    sum them at zero delay.  Each slot group sums its rows gathered from the
+    table a block at a time, in the same device order as from freshly built
+    and ramped codewords, so the result is bit-identical to ramping each
+    copy on its own.
 
     With a generator the frame is noisy: noise for the whole grid is drawn
     from it up front in one block, so the result does not depend on the
@@ -293,19 +317,21 @@ def frame_observations(
         Y = np.zeros(shape, dtype=np.complex128)
     else:
         Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    scale = math.sqrt(gamma)
     if k and frame.copies == 1:
+        codewords = np.empty((_DEVICE_BLOCK, n), dtype=np.complex128)
         for j in range(n_sub):
             for sel in _slot_groups(slots[:, j, 0]):
-                # codewords passed inline, so none outlive their group's product
-                Y[j, slots[sel[0], j, 0]] += synthesize_slot(
-                    rm_samples_batch(Ps[sel, j, 0], bs[sel, j, 0]),
+                # exponents passed inline, so none outlive their group's sum
+                Y[j, slots[sel[0], j, 0]] += scale * _device_sum(
                     pop.h[sel],
-                    pop.delta[sel],
-                    gamma,
+                    n,
+                    _codeword_blocks(
+                        _pair_exponents(Ps[sel, j, 0], bs[sel, j, 0]), pop.delta[sel], codewords
+                    ),
                 )
     elif k:
         rows = max(1, _RAMP_SAMPLES // n)
-        scale = math.sqrt(gamma)
         for j in range(n_sub):
             table = rm_samples_batch(Ps[:, j, 0], bs[:, j, 0])
             for s in range(0, k, rows):
@@ -315,7 +341,9 @@ def frame_observations(
                     _flip_check_bit(table)  # copy 0's ramped codewords -> copy 1's
                 for sel in _slot_groups(slots[:, j, c]):
                     # synthesize_slot of the ramped rows at zero delay
-                    Y[j, slots[sel[0], j, c]] += scale * _device_sum(table[sel], pop.h[sel])
+                    Y[j, slots[sel[0], j, c]] += scale * _device_sum(
+                        pop.h[sel], n, lambda s: table[sel[s : s + _DEVICE_BLOCK]]
+                    )
             del table  # before the next sub-block's table is built
     Y.setflags(write=False)
     return Y

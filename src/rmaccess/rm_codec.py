@@ -5,14 +5,23 @@ binary m x m matrix P and a binary m-vector b: sample n (1-based) equals
 i**(2*b'a + a'Pa) where a is the m-bit binary expression of n - 1.  Each
 sequence is two interleaved copies of a shorter one, the even-position copy
 modulated by a Walsh function whose frequency is the last off-diagonal
-column of P.  rm_samples_batch is the one sequence builder: it runs that
-recursion layer by layer in O(2**m) per sequence, and rm_samples is its
-batch of one.  walsh_factor gives the modulating factor of one layer from
-its frequency as an integer, wht is the fast Walsh-Hadamard transform whose
-peak index is that frequency, and the rest converts pairs to and from their
-canonical bit strings.  A pair is always two arrays, P and b, or stacks
-(..., m, m) and (..., m) of them.  Where a message's bits sit in the bit
-string is the frame scheme's decision
+column of P: the layers the detector peels.  walsh_factor gives the
+modulating factor of one layer from its frequency as an integer, and wht is
+the fast Walsh-Hadamard transform whose peak index is that frequency.
+
+rm_samples_batch is the one sequence builder, and rm_samples its batch of
+one.  It works on uint8 exponents, 1 byte a sample: the first half of a
+sequence is the sequence of its trailing sub-pair and the second half adds
+a shift and a Walsh term whose frequency is the first row of P, so the
+exponents double in place layer by layer, O(2**m) per sequence, each Walsh
+term a row of a cached parity table of at most 64 KB.  The samples are one
+lookup in a 256-entry table of powers of i, a bounded chunk of rows at a
+time, into a buffer the caller may supply; synthesis uses that to build a
+slot group's exponents once and its codewords a block of devices at a time
+(geometry_channel.frame_observations).  The rest converts pairs to and from
+their canonical bit strings.  A pair is always two arrays, P and b, or
+stacks (..., m, m) and (..., m) of them.  Where a message's bits sit in the
+bit string is the frame scheme's decision
 (access_pipeline.FrameConfig.pair_positions), not the codec's.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
@@ -29,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "as_bits",
-    "binary_index",
     "rm_samples",
     "rm_samples_batch",
     "walsh_factor",
@@ -43,30 +51,12 @@ __all__ = [
 _IOTA_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def binary_index(n: int, s: int) -> np.ndarray:
-    """s-bit binary expression of n, most significant bit first.
-
-    binary_index(3, 2) == [1, 1]; binary_index(1, 2) == [0, 1].
-    Raises ValueError unless 0 <= n < 2**s.
-    """
-    n, s = int(n), int(s)
-    if s < 0 or not 0 <= n < (1 << s):
-        raise ValueError(f"index {n} does not fit in {s} bits")
-    return _msb_first(np.int64(n), s)
-
-
-def _msb_first(values, width: int) -> np.ndarray:
-    """binary_index of every entry of an int64 array or scalar, unchecked:
-    (..., width) uint8."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((values[..., None] >> shifts) & 1).astype(np.uint8)
-
-
 @lru_cache(maxsize=None)
 def _bit_rows(width: int) -> np.ndarray:
-    """Row n is binary_index(n, width), n = 0..2**width-1: a read-only
-    (2**width, width) uint8 table."""
-    rows = _msb_first(np.arange(1 << width, dtype=np.int64), width)
+    """Row n is the width-bit binary expression of n, most significant bit
+    first, n = 0..2**width-1: a read-only (2**width, width) uint8 table."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    rows = ((np.arange(1 << width, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
     rows.setflags(write=False)
     return rows
 
@@ -123,12 +113,12 @@ def _walsh_values(width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _column_weights(m: int) -> np.ndarray:
-    """weights[i, w] = 2**(w-1-i) above the diagonal, else 0: column w of P
-    dotted with it is P[:w, w] read MSB-first as an integer. Read-only."""
-    i = np.arange(m)[:, None]
-    w = np.arange(m)[None, :]
-    weights = np.where(i < w, 1 << np.maximum(w - 1 - i, 0), 0)
+def _row_weights(m: int) -> np.ndarray:
+    """weights[t, i] = 2**(m-1-i) right of the diagonal, else 0: row t of P
+    dotted with it is P[t, t+1:] read MSB-first as an integer. Read-only."""
+    t = np.arange(m)[:, None]
+    i = np.arange(m)[None, :]
+    weights = np.where(i > t, 1 << (m - 1 - i), 0)
     weights.setflags(write=False)
     return weights
 
@@ -136,45 +126,101 @@ def _column_weights(m: int) -> np.ndarray:
 def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Sample vectors of a stack of pairs: Ps (k, m, m), bs (k, m) -> (k, 2**m).
 
-    The package's one sequence builder, through the layer recursion on
-    uint8 exponents, O(2**m) per pair:
-    E_s = interleave(E_{s-1}, E_{s-1} + 2*b[s-1] + P[s-1, s-1]
-    + 2*parity(n' & eta_s)) mod 4, with eta_s = P[:s-1, s-1] read MSB-first,
-    so only the upper triangle of P is read; P must be symmetric.
+    The package's one sequence builder: the pairs' checks, then their uint8
+    exponents through the layer recursion, O(2**m) per pair,
+    E = concatenate(E', E' + 2*b[0] + P[0, 0] + 2*parity(zeta & n')) mod 4
+    over n' = 0..2**(m-1)-1, with E' the exponents of the trailing sub-pair
+    (P[1:, 1:], b[1:]) and zeta = P[0, 1:] read MSB-first, then i**E by
+    table lookup.  Only the upper triangle of P is read; P must be
+    symmetric.
     """
     if np.ndim(bs) != 2:
         raise ValueError("expected a stack of pairs, bs of shape (k, m)")
-    Ps, bs = _as_pairs(Ps, bs)
+    return _lookup(_pair_exponents(*_as_pairs(Ps, bs)))
+
+
+def _pair_exponents(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """uint8 exponents of a stack of valid uint8 pairs, unchecked:
+    (k, 2**m), sample n being i**(exponent mod 4)."""
     k, m = bs.shape
     shifts = (2 * bs + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
-    etas = np.einsum("kiw,iw->wk", Ps, _column_weights(m))[:, :, None]
-    return _samples(shifts, etas, k)
+    return _exponents(shifts, np.einsum("kti,ti->tk", Ps, _row_weights(m)), k)
 
 
-def _samples(shifts, etas, k: int) -> np.ndarray:
-    """rm_samples_batch's recursion, unchecked: layer w = 0..m-1 of all k
-    sequences takes shifts[w] = 2*b[w] + P[w, w] (uint8) and, from w = 1,
-    the frequency etas[w], each a (k, 1) column or one int for every row."""
+def _exponents(shifts, freqs, k: int) -> np.ndarray:
+    """The layer recursion on uint8 exponents, unchecked: (k, 2**m) from
+    each layer t = 0..m-1's shift 2*b[t] + P[t, t] (uint8, shifts[t], a
+    (k, 1) column or one int for every row) and frequency P[t, t+1:] read
+    MSB-first (freqs[t], (k,) or one int).  The first half of a sequence's
+    exponents are those of its trailing sub-pair (P[1:, 1:], b[1:]); the
+    second half adds the shift and a Walsh term of the frequency, so layer
+    t writes samples 2**(m-1-t)..2**(m-t)-1 from the ones before them."""
     # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
-    # mod 4 waits for the last layer; layer 1 is [0, shift]
-    expo = np.zeros((k, 2), dtype=np.uint8)
-    expo[:, 1:] = shifts[0]
-    for w in range(1, len(shifts)):  # layer s = w + 1 appends the bit a[w]
-        idx, twice_parity = _walsh_table(w)
-        odd = expo + twice_parity[idx & etas[w]]
-        odd += shifts[w]
-        nxt = np.empty((k, 2 << w), dtype=np.uint8)
-        nxt[:, 0::2] = expo
-        nxt[:, 1::2] = odd
-        expo = nxt
-    return _IOTA_POW[expo & 3]
+    # mod 4 is left to the lookup
+    m = len(shifts)
+    expo = np.empty((k, 1 << m), dtype=np.uint8)
+    expo[:, 0] = 0
+    expo[:, 1:2] = shifts[m - 1]  # the last row has no frequency
+    for t in range(m - 2, -1, -1):
+        half = 1 << (m - 1 - t)
+        upper = expo[:, half : 2 * half]
+        np.add(expo[:, :half], _walsh_term(freqs[t], m - 1 - t), out=upper)
+        upper += shifts[t]
+    return expo
+
+
+# Widest per-width parity table: (2**8, 2**8) uint8, 64 KB.
+_TABLE_BITS = 8
+
+
+@lru_cache(maxsize=None)
+def _parity_rows(width: int) -> np.ndarray:
+    """Row eta holds 2*parity(eta & n) for n = 0..2**width-1, width <=
+    _TABLE_BITS: a read-only (2**width, 2**width) uint8 table."""
+    idx, twice_parity = _walsh_table(width)
+    rows = twice_parity[np.bitwise_and.outer(idx, idx)]
+    rows.setflags(write=False)
+    return rows
+
+
+def _walsh_term(eta, width: int) -> np.ndarray:
+    """2*parity(eta & n), n = 0..2**width-1, uint8, for frequencies eta:
+    (k, 2**width) for a (k,) array, (2**width,) for one int.  Above
+    _TABLE_BITS bits the parity of eta & n is the XOR of the parities of
+    its high and low parts, so no table outgrows _parity_rows(_TABLE_BITS)."""
+    if width <= _TABLE_BITS:
+        return _parity_rows(width)[eta]
+    low = _parity_rows(_TABLE_BITS)[eta & 0xFF]
+    high = _walsh_term(eta >> _TABLE_BITS, width - _TABLE_BITS)
+    return (high[..., :, None] ^ low[..., None, :]).reshape(low.shape[:-1] + (1 << width,))
+
+
+# i**(e mod 4) for every uint8 exponent e
+_IOTA_256 = _IOTA_POW[np.arange(256) & 3]
+_IOTA_256.setflags(write=False)
+
+# Exponents per lookup chunk, which bounds take's intp index copy (8 bytes
+# a sample) whatever the batch size.
+_LOOKUP_SAMPLES = 1 << 14
+
+
+def _lookup(expo: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples i**expo of uint8 exponents (k, n): a new array, or the first
+    k rows of out, a complex128 buffer of at least k rows of n."""
+    k, n = expo.shape
+    out = np.empty((k, n), dtype=np.complex128) if out is None else out[:k]
+    rows = max(1, _LOOKUP_SAMPLES // n)
+    for s in range(0, k, rows):
+        np.take(_IOTA_256, expo[s : s + rows], out=out[s : s + rows], mode="wrap")
+    return out
 
 
 def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sample vector of the sequence identified by (P, b), as a raw array:
     rm_samples_batch of the one pair.
 
-    samples[n-1] = i**(2*b'a + a'Pa) with a = binary_index(n-1, m).
+    samples[n-1] = i**(2*b'a + a'Pa) with a the m-bit binary expression of
+    n-1, most significant bit first.
     Exact complex values from a lookup table, no trig.
     """
     return rm_samples_batch(np.asarray(P)[None], np.asarray(b)[None])[0]
@@ -183,9 +229,9 @@ def rm_samples(P: np.ndarray, b: np.ndarray) -> np.ndarray:
 def walsh_factor(freq: int, width: int, b_bit: int, beta_bit: int) -> np.ndarray:
     """Modulation factor V relating a sequence's even positions to its half.
 
-    V[n-1] = i**(2*b_bit + beta_bit + 2*eta'a) over a = binary_index(n-1, width)
-    with eta = binary_index(freq, width): a Walsh function of frequency freq
-    times a fixed fourth root of unity.  For a pair (P, b), the order-s
+    V[n-1] = i**(2*b_bit + beta_bit + 2*parity(freq & (n-1))) for
+    n = 1..2**width: a Walsh function of frequency freq times a fixed fourth
+    root of unity.  For a pair (P, b), the order-s
     truncation X and the order-(s-1) truncation X_half satisfy
     X[0::2] == X_half and X[1::2] == V * X_half with width = s-1, freq =
     P[:s-1, s-1] read MSB-first, b_bit = b[s-1] and beta_bit = P[s-1, s-1].

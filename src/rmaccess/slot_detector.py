@@ -39,7 +39,9 @@ import numpy as np
 from .rm_codec import (
     _IOTA_POW,
     _bit_rows,
-    _samples,
+    _exponents,
+    _lookup,
+    _row_weights,
     _walsh_table,
     _walsh_values,
     _wht,
@@ -379,10 +381,6 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     P = np.zeros((m, m), dtype=np.uint8)
     b = np.zeros(m, dtype=np.uint8)
     components = np.zeros(m, dtype=np.float64)
-    # per layer w = s - 1: the shift 2 b + beta and the frequency, as
-    # rm_samples_batch's recursion takes them
-    shifts = [0] * m
-    freqs = [0] * m
     Ys = Y
     prev = 0.0
     for s in range(m, 1, -1):
@@ -404,9 +402,7 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
         P[w, w] = beta_s
         b[w] = b_s
         components[m - s] = comp
-        shifts[w] = 2 * b_s + beta_s
-        freqs[w] = freq
-        Ys = _fold(Ys, _walsh_conj(w)[shifts[w]][_walsh_table(w)[0] & freq], comp)
+        Ys = _fold(Ys, _walsh_conj(w)[2 * b_s + beta_s][_walsh_table(w)[0] & freq], comp)
         prev = comp
     final = _final(Ys, prev, estimate_delay)
     if final is None:
@@ -415,9 +411,10 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     b[0] = b1
     P[0, 0] = beta1
     components[m - 1] = comp_m
-    shifts[0] = 2 * b1 + beta1
     delta_hat = _refine(components, cfg) if estimate_delay else 0.0
-    signal = _reconstruct(_samples(shifts, freqs, 1)[0], h_hat, delta_hat, _n_index(m))
+    # _pair_exponents of the one pair: shifts 2 b + diag(P), row frequencies
+    expo = _exponents(2 * b + P.diagonal(), (P * _row_weights(m)).sum(axis=1), 1)
+    signal = _reconstruct(_lookup(expo)[0], h_hat, delta_hat, _n_index(m))
     return P, b, h_hat, delta_hat, components, signal
 
 

@@ -13,7 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import async_layout, bits_value, pair_from_bits, segment_pair, time_domain_reference
+from oracles import (
+    async_layout,
+    bit_table,
+    bits_value,
+    pair_from_bits,
+    segment_pair,
+    time_domain_reference,
+)
 from rmaccess.access_pipeline import FrameConfig, transmissions, tree_decode, tree_encode
 from rmaccess.geometry_channel import (
     GeometryConfig,
@@ -23,7 +30,6 @@ from rmaccess.geometry_channel import (
     synthesize_slot,
 )
 from rmaccess.rm_codec import (
-    binary_index,
     rm_samples,
     unpack_bits,
     walsh_factor,
@@ -118,7 +124,7 @@ def test_criterion_3_codec_properties(criterion_report):
     total = 4 * 7 // 2
     for frame in (FrameConfig(4, 2), FrameConfig(4, 2, tau_max=0.0)):
         n_tail = frame.segment_bits - frame.p
-        tails = np.array([binary_index(v, n_tail) for v in range(1 << n_tail)])
+        tails = bit_table(n_tail).astype(np.uint8)
         segments = np.concatenate([np.zeros((len(tails), frame.p), np.uint8), tails], axis=1)
         keys = set()
         Ps, bs, _ = transmissions(segments, frame)
@@ -134,7 +140,7 @@ def test_criterion_3_codec_properties(criterion_report):
         reserved = list(async_layout(4, 2)[1])
         expect_keys = {
             b"".join(arr.tobytes() for arr in pair_from_bits(bits))
-            for bits in (binary_index(val, total) for val in range(1 << total))
+            for bits in bit_table(total)
             if not bits[reserved].any()
         }
         packing_ok &= keys == expect_keys and len(keys) == 1 << (total - 2)

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
-from oracles import bits_value, einsum_synthesis, segment_pair, time_domain_reference
+from oracles import bit_table, bits_value, einsum_synthesis, segment_pair, time_domain_reference
 from rmaccess.access_pipeline import FrameConfig, draw_messages, transmissions, tree_encode
 from rmaccess.geometry_channel import (
     GeometryConfig,
@@ -378,23 +378,48 @@ def _assert_matches_mask_loop(pop, frame, geo, seed=5):
     np.testing.assert_array_equal(got, expected)
 
 
+def _population_in_groups(frame, sizes, r, rng, delayed):
+    """sum(sizes) devices of a d = 0 frame, shuffled, sizes[i] of whose
+    messages land in slot i, with random channels and either zero or random
+    delays."""
+    k = sum(sizes)
+    info = draw_messages(frame, rng, k)
+    landed = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    info[:, : frame.p] = bit_table(frame.p)[landed]
+    h = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    delta = rng.uniform(-math.pi, math.pi, size=k) if delayed else np.zeros(k)
+    pop = _population(h, delta, info)
+    slots = transmissions(tree_encode(pop.info, frame), frame)[2]
+    assert np.bincount(slots[:, 0, 0]).tolist() == list(sizes)
+    return pop
+
+
 @pytest.mark.parametrize(
-    "frame",
+    "frame, sizes",
     [
-        FrameConfig(m=4, p=2, d=0),
-        FrameConfig(m=5, p=2, d=1),
-        FrameConfig(m=6, p=3, d=2),
-        FrameConfig(m=5, p=2, tau_max=0.0),
+        (FrameConfig(m=4, p=2, d=0), None),
+        (FrameConfig(m=5, p=2, d=1), None),
+        (FrameConfig(m=6, p=3, d=2), None),
+        (FrameConfig(m=5, p=2, tau_max=0.0), None),
+        (FrameConfig(m=5, p=2, tau_max=0.0), (64, 65, 130, 1)),
+        (FrameConfig(m=10, p=1, tau_max=0.0), (129, 64)),
     ],
-    ids=["async-d0", "async-d1", "async-d2", "sync"],
+    ids=["async-d0", "async-d1", "async-d2", "sync", "sync-blocks", "sync-blocks-m10"],
 )
-def test_frame_observations_equals_mask_loop_exactly(frame):
+def test_frame_observations_equals_mask_loop_exactly(frame, sizes):
     """Slot-group synthesis performs the same floating-point operations as
-    the whole-population mask loop, so every observation is bit-identical."""
+    the whole-population mask loop, so every observation is bit-identical.
+    The block cases fill synchronous slot groups of exactly one 64-device
+    block, one past it, and over two, with zero and with random delays."""
     geo = GeometryConfig(density=2e-3, area=20_000.0, alpha=4.0, theta=1e-6, gamma=1e6, r=3)
-    pop = sample_frame(geo, frame, np.random.default_rng(46))
-    assert len(pop) > 2 * frame.n_slots
-    _assert_matches_mask_loop(pop, frame, geo)
+    if sizes is None:
+        pop = sample_frame(geo, frame, np.random.default_rng(46))
+        assert len(pop) > 2 * frame.n_slots
+        _assert_matches_mask_loop(pop, frame, geo)
+        return
+    for delayed in (False, True):
+        rng = np.random.default_rng(48)
+        _assert_matches_mask_loop(_population_in_groups(frame, sizes, geo.r, rng, delayed), frame, geo)
 
 
 def test_frame_observations_exact_with_empty_slots():
@@ -427,12 +452,20 @@ def _memory_case(frame):
 
 
 def test_synchronous_frame_memory_holds_no_table():
-    """A synchronous frame builds its codewords slot group by slot group and
-    frees each group's after its product: its peak stays under half of one
-    (K, 2**m) table, where a whole-population table would double it."""
+    """A synchronous frame builds each slot group's uint8 exponents (at most
+    4 bytes a sample while the layer recursion runs) and looks its codewords
+    up one 64-device block at a time into one reused buffer.  Beyond the
+    observation array and the encoder's outputs, nothing else may be alive:
+    a slot group's complex codewords (16 bytes a sample) would not fit."""
     frame = FrameConfig(m=10, p=2, tau_max=0.0)
-    pop, geo, table = _memory_case(frame)
-    assert _traced_peak(lambda: frame_observations(pop, frame, geo)) < table / 2
+    pop, geo, _ = _memory_case(frame)
+    segments = tree_encode(pop.info, frame)
+    slots = transmissions(segments, frame)[2]
+    encoder = _traced_peak(lambda: transmissions(segments, frame))
+    observations = frame.n_subblocks * frame.n_slots * geo.r * frame.seq_len * 16
+    group = max(np.bincount(slots[:, j, 0]).max() for j in range(frame.n_subblocks))
+    bound = group * frame.seq_len * 4 + 64 * frame.seq_len * 16 + observations + encoder
+    assert _traced_peak(lambda: frame_observations(pop, frame, geo)) <= bound
 
 
 def test_two_copy_frame_memory_is_one_table():

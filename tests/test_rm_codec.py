@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.rm_codec import (
+    _bit_rows,
     as_bits,
-    binary_index,
     bits_to_pair_batch,
     pair_to_bits,
     rm_samples,
@@ -24,6 +24,7 @@ from rmaccess.rm_codec import (
 from rmaccess.slot_detector import reconstruct_signal
 from oracles import (
     async_layout,
+    bit_table,
     bit_table_walsh_factor,
     bits_value,
     einsum_samples_batch,
@@ -52,23 +53,20 @@ def random_pair(rng, m):
     return P, b
 
 
-def test_binary_index_examples():
-    assert binary_index(3, 2).tolist() == [1, 1]
-    assert binary_index(1, 2).tolist() == [0, 1]
-    assert binary_index(0, 3).tolist() == [0, 0, 0]
-    assert binary_index(5, 4).tolist() == [0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        binary_index(4, 2)
-    with pytest.raises(ValueError):
-        binary_index(-1, 2)
-
-
-def test_binary_index_reads_back_msb_first():
+def test_bit_rows_read_msb_first():
+    assert _bit_rows(2)[3].tolist() == [1, 1]
+    assert _bit_rows(2)[1].tolist() == [0, 1]
+    assert _bit_rows(3)[0].tolist() == [0, 0, 0]
+    assert _bit_rows(4)[5].tolist() == [0, 1, 0, 1]
+    for width in range(12):
+        rows = _bit_rows(width)
+        assert rows.dtype == np.uint8 and not rows.flags.writeable
+        np.testing.assert_array_equal(rows, bit_table(width))
     rng = np.random.default_rng(0)
     for _ in range(200):
         s = int(rng.integers(1, 12))
         n = int(rng.integers(0, 1 << s))
-        assert bits_value(binary_index(n, s)) == n
+        assert bits_value(_bit_rows(s)[n]) == n
 
 
 def test_sequences_by_hand():
@@ -509,7 +507,7 @@ def test_pack_exhaustive_small_layout():
     # distinct pair and back
     frame = FrameConfig(3, 1)
     n_tail = frame.segment_bits - frame.p
-    tails = np.array([binary_index(v, n_tail) for v in range(1 << n_tail)])
+    tails = bit_table(n_tail).astype(np.uint8)
     segments = np.concatenate([np.zeros((len(tails), 1), np.uint8), tails], axis=1)
     seen = set()
     Ps, bs, _ = transmissions(segments, frame)
