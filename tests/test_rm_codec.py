@@ -53,15 +53,23 @@ def random_pair(rng, m):
     return P, b
 
 
-def test_bit_rows_read_msb_first():
+# The two binary_index tests keep their names; they now check _bit_rows,
+# the read-only table of MSB-first rows that replaced binary_index.
+def test_binary_index_examples():
     assert _bit_rows(2)[3].tolist() == [1, 1]
     assert _bit_rows(2)[1].tolist() == [0, 1]
     assert _bit_rows(3)[0].tolist() == [0, 0, 0]
     assert _bit_rows(4)[5].tolist() == [0, 1, 0, 1]
+    assert _bit_rows(2).shape == (4, 2)
+    with pytest.raises(IndexError):
+        _bit_rows(2)[4]
     for width in range(12):
         rows = _bit_rows(width)
         assert rows.dtype == np.uint8 and not rows.flags.writeable
         np.testing.assert_array_equal(rows, bit_table(width))
+
+
+def test_binary_index_reads_back_msb_first():
     rng = np.random.default_rng(0)
     for _ in range(200):
         s = int(rng.integers(1, 12))
