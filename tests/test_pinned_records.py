@@ -95,8 +95,22 @@ def test_frame_observations_are_pinned(frame, digest):
             {"B": 30, "C": 4736, "K_star": 22.273311987326824, "miss": 0.2,
              "fa": 0.15789473684210525, "truth": 20, "decoded": 19, "overflow": False},
         ),
+        (
+            "synchronous",
+            dict(K=4000, r=16, m=10, p=2, d=0),
+            0,
+            {"B": 67, "C": 4096, "K_star": 49.874376713984304, "miss": 0.03571428571428571,
+             "fa": 0.01818181818181818, "truth": 56, "decoded": 55, "overflow": False},
+        ),
+        (
+            "baseline",
+            dict(K=8000, r=16, m=6, p=6, d=0),
+            0,
+            {"B": 30, "C": 4736, "K_star": 99.74875342796861, "miss": 0.0967741935483871,
+             "fa": 0.023255813953488372, "truth": 93, "decoded": 86, "overflow": False},
+        ),
     ],
-    ids=["baseline", "subblocks", "antennas"],
+    ids=["baseline", "subblocks", "antennas", "synchronous-K4000", "baseline-K8000"],
 )
 def test_trial_records_are_pinned(preset, point, trial, record):
     got = run_single_trial(presets()[preset], point, trial)
