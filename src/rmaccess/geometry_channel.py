@@ -23,15 +23,17 @@ and Z unit-variance circular Gaussian.  synthesize_slot is the one kernel
 for the signal sum, a (r, k) by (k, N) complex product per slot group taken
 through BLAS in fixed blocks of devices, so Y does not depend on the BLAS
 thread count; frame_observations draws Z up front and sums each slot
-group through the same blocked product.  A device's two asynchronous
-copies share h and Delta and differ only in the check bit, a fixed sign
-pattern over n, so a two-copy frame
-builds and ramps each device's codeword once per sub-block, into one
-(K, 2**m) table that copy 1 reuses after an in-place sign flip.  A
-synchronous frame holds no table: it builds each slot group's uint8
-exponents once, 1 byte a sample, and looks up the codewords of one block
-of devices at a time into one reused buffer, just before that block's
-product.  The tests pin the model down against an
+group through the same blocked product.  The delay ramp e**(-i Delta n)
+is two-level, a coarse phasor times a fine one, so a device pays about
+2 sqrt(N) cos/sin pairs instead of N; it is within (|Delta| n + 1) 2**-51 of
+the direct exponential, not bit-identical to it (_ramp).  A device's two
+asynchronous copies share h and Delta and differ only in the check bit, a
+fixed sign pattern over n, so a two-copy frame builds and ramps each
+device's codeword once per sub-block, into one (K, 2**m) table that copy 1
+reuses after an in-place sign flip.  A synchronous frame holds no table: it
+builds each slot group's uint8 exponents once, 1 byte a sample, and looks
+up the codewords of one block of devices at a time into one reused buffer,
+just before that block's product.  The tests pin the model down against an
 oracle that rebuilds the noise-free observation the long way
 (continuous-time waveform, sampling, prefix discard, DFT).
 
@@ -204,22 +206,47 @@ def _check_stack(X: np.ndarray, h: np.ndarray, delay: np.ndarray) -> None:
 _DEVICE_BLOCK = 64
 
 # Samples per delay-ramp chunk in frame_observations, which bounds the ramp's
-# temporaries (8 + 16 bytes a sample) whatever the population size.
+# temporaries (16 bytes a sample, plus its two small phasor tables) whatever
+# the population size.
 _RAMP_SAMPLES = 1 << 13
+
+
+def _phasors(delta: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """e**(-i delta[k] steps[j]) as a (k, j) complex array, its real and
+    imaginary parts filled with cos and -sin of delta[k] steps[j]."""
+    x = np.outer(delta, steps)
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 def _ramp(delta: np.ndarray, n: int) -> np.ndarray:
     """Delay ramps e**(-i delta[k] n), n = 1..N, as a (k, N) complex array.
 
-    The real and imaginary parts are filled with cos and -sin of delta[k] n,
-    which is bit-identical to np.exp(-1j * np.outer(delta, n)) and cheaper.
+    Two-level: with f = 2**(bit_length(N - 1) // 2), close to sqrt(N),
+    sample n = f a + c (c = 1..f) is the product of a coarse phasor
+    e**(-i delta f a) and a fine one e**(-i delta c), so a device pays about
+    2 sqrt(N) cos/sin pairs instead of N.  A zero delay gives exactly 1.
+    The result is not bit-identical to the direct
+    np.exp(-1j * np.outer(delta, n)) but within (|delta| n + 1) 2**-51 of it
+    at every sample: the angles delta f a and delta c round by up to 2**-53
+    of their size, as the direct form's delta n does, and the cos/sin
+    pairs and the product add a few ulps of 1 (the tests measure at most
+    (|delta| n + 1) 2**-52 for N up to 2**14).  The bound is relative to
+    delta n because the direct form itself rounds that angle, by up to half
+    its ulp: 4e-12 at N = 2**14.
     """
-    x = np.outer(delta, np.arange(1, n + 1))
-    ramp = np.empty(x.shape, dtype=np.complex128)
-    np.cos(x, out=ramp.real)
-    np.sin(x, out=ramp.imag)
-    np.negative(ramp.imag, out=ramp.imag)
-    return ramp
+    fine = 1 << ((n - 1).bit_length() // 2)
+    coarse = -(-n // fine)
+    ramp = np.empty((len(delta), coarse, fine), dtype=np.complex128)
+    np.multiply(
+        _phasors(delta, fine * np.arange(coarse))[:, :, None],
+        _phasors(delta, np.arange(1, fine + 1))[:, None, :],
+        out=ramp,
+    )
+    return ramp.reshape(len(delta), coarse * fine)[:, :n]
 
 
 def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: float) -> np.ndarray:
@@ -236,16 +263,18 @@ def synthesize_slot(X: np.ndarray, h: np.ndarray, delta: np.ndarray, gamma: floa
     _check_stack(X, h, delta)
     if delta.any():
         X = X * _ramp(delta, X.shape[1])
-    return math.sqrt(gamma) * _device_sum(h, X.shape[1], lambda s: X[s : s + _DEVICE_BLOCK])
+    return math.sqrt(gamma) * _device_sum(h, lambda s: X[s : s + _DEVICE_BLOCK])
 
 
-def _device_sum(h: np.ndarray, n: int, block) -> np.ndarray:
+def _device_sum(h: np.ndarray, block) -> np.ndarray:
     """sum_k h[k, :, None] * X[k] over the already ramped codewords X (k, n)
     of the k devices of h (k, r), unchecked: synthesize_slot's blocked BLAS
-    sum.  block(s) returns X[s : s + _DEVICE_BLOCK], so a caller may build
-    each block's codewords only when it is summed."""
-    Y = np.zeros((h.shape[1], n), dtype=np.complex128)
-    for s in range(0, len(h), _DEVICE_BLOCK):
+    sum, a new array.  block(s) returns X[s : s + _DEVICE_BLOCK], so a caller
+    may build each block's codewords only when it is summed.  The sum starts
+    from the first block's product, which differs from adding it to zeros
+    at most in the sign of a zero."""
+    Y = h[:_DEVICE_BLOCK].T @ block(0)
+    for s in range(_DEVICE_BLOCK, len(h), _DEVICE_BLOCK):
         Y += h[s : s + _DEVICE_BLOCK].T @ block(s)
     return Y
 
@@ -316,20 +345,26 @@ def frame_observations(
     if rng is None:
         Y = np.zeros(shape, dtype=np.complex128)
     else:
-        Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        # (re + 1j im) / sqrt(2) without complex temporaries: numpy divides
+        # a complex by a real as a product with the rounded 1 / sqrt(2)
+        Y = np.empty(shape, dtype=np.complex128)
+        Y.real = rng.standard_normal(shape)
+        Y.imag = rng.standard_normal(shape)
+        Y.view(np.float64)[...] *= 1.0 / math.sqrt(2.0)
     scale = math.sqrt(gamma)
     if k and frame.copies == 1:
         codewords = np.empty((_DEVICE_BLOCK, n), dtype=np.complex128)
         for j in range(n_sub):
             for sel in _slot_groups(slots[:, j, 0]):
                 # exponents passed inline, so none outlive their group's sum
-                Y[j, slots[sel[0], j, 0]] += scale * _device_sum(
+                signal = _device_sum(
                     pop.h[sel],
-                    n,
                     _codeword_blocks(
                         _pair_exponents(Ps[sel, j, 0], bs[sel, j, 0]), pop.delta[sel], codewords
                     ),
                 )
+                signal *= scale
+                Y[j, slots[sel[0], j, 0]] += signal
     elif k:
         rows = max(1, _RAMP_SAMPLES // n)
         for j in range(n_sub):
@@ -341,9 +376,9 @@ def frame_observations(
                     _flip_check_bit(table)  # copy 0's ramped codewords -> copy 1's
                 for sel in _slot_groups(slots[:, j, c]):
                     # synthesize_slot of the ramped rows at zero delay
-                    Y[j, slots[sel[0], j, c]] += scale * _device_sum(
-                        pop.h[sel], n, lambda s: table[sel[s : s + _DEVICE_BLOCK]]
-                    )
+                    signal = _device_sum(pop.h[sel], lambda s: table[sel[s : s + _DEVICE_BLOCK]])
+                    signal *= scale
+                    Y[j, slots[sel[0], j, c]] += signal
             del table  # before the next sub-block's table is built
     Y.setflags(write=False)
     return Y

@@ -18,10 +18,13 @@ term a row of a cached parity table of at most 64 KB.  The samples are one
 lookup in a 256-entry table of powers of i, a bounded chunk of rows at a
 time, into a buffer the caller may supply; synthesis uses that to build a
 slot group's exponents once and its codewords a block of devices at a time
-(geometry_channel.frame_observations).  The rest converts pairs to and from
-their canonical bit strings.  A pair is always two arrays, P and b, or
-stacks (..., m, m) and (..., m) of them.  Where a message's bits sit in the
-bit string is the frame scheme's decision
+(geometry_channel.frame_observations).  The detector rebuilds one pair at
+a time, where the recursion's per-layer calls would dominate, so
+_pair_samples takes the exponents of up to 7 trailing rows from one uint8
+product with a cached table and runs the same recursion only above them.
+The rest converts pairs to and from their canonical bit strings.  A pair is
+always two arrays, P and b, or stacks (..., m, m) and (..., m) of them.
+Where a message's bits sit in the bit string is the frame scheme's decision
 (access_pipeline.FrameConfig.pair_positions), not the codec's.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
@@ -113,14 +116,15 @@ def _walsh_values(width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _row_weights(m: int) -> np.ndarray:
-    """weights[t, i] = 2**(m-1-i) right of the diagonal, else 0: row t of P
-    dotted with it is P[t, t+1:] read MSB-first as an integer. Read-only."""
-    t = np.arange(m)[:, None]
-    i = np.arange(m)[None, :]
-    weights = np.where(i > t, 1 << (m - 1 - i), 0)
+def _row_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """weights 2**(m-1-i) and masks 2**(m-1-t) - 1, i, t = 0..m-1, intp:
+    (P @ weights) & masks reads each row t of P MSB-first and keeps the
+    bits right of the diagonal, P[t, t+1:] as an integer.  Read-only."""
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.intp)
+    masks = weights - 1
     weights.setflags(write=False)
-    return weights
+    masks.setflags(write=False)
+    return weights, masks
 
 
 def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -144,29 +148,73 @@ def _pair_exponents(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     (k, 2**m), sample n being i**(exponent mod 4)."""
     k, m = bs.shape
     shifts = (2 * bs + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
-    return _exponents(shifts, np.einsum("kti,ti->tk", Ps, _row_weights(m)), k)
+    weights, masks = _row_weights(m)
+    return _exponents(shifts, ((Ps @ weights) & masks).T, k)
 
 
-def _exponents(shifts, freqs, k: int) -> np.ndarray:
+def _exponents(shifts, freqs, k: int, base: np.ndarray | None = None) -> np.ndarray:
     """The layer recursion on uint8 exponents, unchecked: (k, 2**m) from
     each layer t = 0..m-1's shift 2*b[t] + P[t, t] (uint8, shifts[t], a
     (k, 1) column or one int for every row) and frequency P[t, t+1:] read
     MSB-first (freqs[t], (k,) or one int).  The first half of a sequence's
     exponents are those of its trailing sub-pair (P[1:, 1:], b[1:]); the
     second half adds the shift and a Walsh term of the frequency, so layer
-    t writes samples 2**(m-1-t)..2**(m-t)-1 from the ones before them."""
+    t writes samples 2**(m-1-t)..2**(m-t)-1 from the ones before them.
+    base, when given, holds the exponents (k, 2**w) of the trailing w-row
+    sub-pairs, and the recursion starts above them."""
     # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
     # mod 4 is left to the lookup
     m = len(shifts)
     expo = np.empty((k, 1 << m), dtype=np.uint8)
-    expo[:, 0] = 0
-    expo[:, 1:2] = shifts[m - 1]  # the last row has no frequency
-    for t in range(m - 2, -1, -1):
+    if base is None:
+        width = 1
+        expo[:, 0] = 0
+        expo[:, 1:2] = shifts[m - 1]  # the last row has no frequency
+    else:
+        width = base.shape[-1].bit_length() - 1
+        expo[:, : 1 << width] = base
+    for t in range(m - 1 - width, -1, -1):
         half = 1 << (m - 1 - t)
         upper = expo[:, half : 2 * half]
         np.add(expo[:, :half], _walsh_term(freqs[t], m - 1 - t), out=upper)
         upper += shifts[t]
     return expo
+
+
+# Widest sub-pair whose exponents _pair_samples takes from one table product
+_PAIR_TABLE_BITS = 7
+
+
+@lru_cache(maxsize=None)
+def _pair_table(width: int) -> np.ndarray:
+    """(2**width, width + width**2) uint8 table whose row n holds 2 a and
+    the outer product a a' (raveled) for a the width-bit expression of n:
+    row n dotted with concatenate((b, P.ravel())) of a pair is its sample
+    exponent 2 b'a + a'Pa.  At most 7 KB; read-only."""
+    a = _bit_rows(width)
+    table = np.concatenate([2 * a, (a[:, :, None] & a[:, None, :]).reshape(1 << width, -1)], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _pair_samples(pair: np.ndarray, m: int) -> np.ndarray:
+    """Samples (2**m,) of one valid uint8 pair given flat as
+    concatenate((b, P.ravel())), unchecked: equal to rm_samples_batch of
+    the pair.  Up to _PAIR_TABLE_BITS rows the exponents are one uint8
+    product with _pair_table (it wraps at 256, a multiple of 4); above, that
+    product gives the trailing sub-pair's and the layer recursion the rest."""
+    width = min(m, _PAIR_TABLE_BITS)
+    top = m - width
+    if not top:
+        expo = _pair_table(m) @ pair
+    else:
+        b, P = pair[:m], pair[m:].reshape(m, m)
+        trailing = np.concatenate((b[top:], P[top:, top:].ravel()))
+        shifts = 2 * b + P.diagonal()
+        weights, masks = _row_weights(m)
+        freqs = (P @ weights) & masks
+        expo = _exponents(shifts, freqs, 1, _pair_table(width) @ trailing)[0]
+    return _IOTA_256.take(expo)
 
 
 # Widest per-width parity table: (2**8, 2**8) uint8, 64 KB.
@@ -269,7 +317,7 @@ def _wht(src: np.ndarray) -> np.ndarray:
     # the first half and their differences to the second, so every output
     # is the same chain of additions as radix-2 butterflies in place.
     n = src.size
-    dst = np.empty_like(src)
+    dst = np.empty(n, dtype=np.complex128)
     for _ in range(n.bit_length() - 1):
         np.add(src[0::2], src[1::2], out=dst[: n // 2])
         np.subtract(src[0::2], src[1::2], out=dst[n // 2 :])

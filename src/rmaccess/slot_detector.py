@@ -8,40 +8,52 @@ matrix; the peak's fourth-root-of-unity polarity carries one (b, beta) bit
 pair and its residual phase one component of the timing phase.  Folding the
 two half-sequences onto each other halves the problem and doubles the timing
 phase, so m-1 layers plus a final two-column step read out the whole pair,
-the channel vector, and m wrapped multiples of the delay, which a small grid
-search then reconciles into one delay estimate.  The reconstructed signal is
-subtracted and the loop repeats until the residual drops under a threshold,
-an iteration cap is hit, or cancellation stops helping (that last detection
-is dropped and the loop stops).
+the channel vector, and m wrapped multiples of the delay, which a grid
+search then reconciles into one delay estimate (refine_delay: the grid's
+exact minimum, found from the residual's quadratic pieces with a written
+rounding bound, so only a point or two gets the exact residual).  The
+reconstructed signal is subtracted and the loop repeats until the residual
+drops under a threshold, an iteration cap is hit, or cancellation stops
+helping (that last detection is dropped and the loop stops).
 
 detect_slot checks its input once, at the boundary, and then runs private
 kernels with no per-call checks; DetectorConfig checks its fields when it is
 built.  Each public step (correlate_layer, peak_search, decode_polarity,
 fold_layer, estimate_final, refine_delay, reconstruct_signal) is its input
 checks followed by the kernel detect_slot runs, so every step has one code
-path.  Angles go through numpy's arctan2 as np.angle computes them; scalar
-exponentials, floors and wraps use cmath, math and float arithmetic, which
-give the same bits as numpy's scalar forms.
+path.  The detected pair's samples are one uint8 product with a cached
+table (rm_codec._pair_samples), and detect_slot builds its Detections
+without the constructor's checks, which guard outside callers.  Angles go
+through numpy's arctan2 as np.angle computes them; scalar exponentials,
+floors and wraps use cmath, math and float arithmetic, which give the same
+bits as numpy's scalar forms, and the folds halve their factors before the
+sum, which is exact.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+# np.einsum without optimize is this C function behind about 3 us of Python
+# dispatch, which the detector would pay six times an iteration
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
 
 # wht and walsh_factor are not called here; perfbench/tracing.py wraps them
 # under these names
 from .rm_codec import (
     _IOTA_POW,
     _bit_rows,
-    _exponents,
-    _lookup,
-    _row_weights,
+    _pair_samples,
     _walsh_table,
     _walsh_values,
     _wht,
@@ -75,7 +87,7 @@ def _wrap(x):
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DetectorConfig:
     """Stopping rule and delay-search knobs for detect_slot.
 
@@ -111,7 +123,7 @@ class DetectorConfig:
             raise ValueError("refine_window must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Detection:
     """One detected transmission: its pair (P, b), channel estimate (scaled
     by sqrt(gamma)), delay estimate, the raw per-layer delay components, and
@@ -128,7 +140,7 @@ class Detection:
     residual_before: float
     residual_after: float
     iteration: int
-    signal: np.ndarray | None = field(default=None, repr=False, compare=False)
+    signal: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arrays = [
@@ -148,6 +160,27 @@ class Detection:
             object.__setattr__(self, name, arr)
 
 
+def _detection(P, b, h_hat, delta_hat, components, before, after, iteration, signal) -> Detection:
+    """A Detection of detect_slot's own arrays, which already have the
+    dtypes and layout the constructor would give them: made read-only and
+    stored without its checks, which guard outside callers."""
+    for arr in (P, b, h_hat, components, signal):
+        arr.setflags(write=False)
+    det = object.__new__(Detection)
+    det.__dict__.update(
+        P=P,
+        b=b,
+        h_hat=h_hat,
+        delta_hat=delta_hat,
+        delta_components=components,
+        residual_before=before,
+        residual_after=after,
+        iteration=iteration,
+        signal=signal,
+    )
+    return det
+
+
 @functools.lru_cache(maxsize=None)
 def _n_index(m: int) -> np.ndarray:
     """n = 1..2**m, the sample numbers of the delay ramp.  Read-only."""
@@ -157,13 +190,36 @@ def _n_index(m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _walsh_conj(width: int) -> np.ndarray:
-    """Row c is the conjugate of rm_codec's Walsh row c, so that
-    row[2 b + beta][idx & freq] is conj(walsh_factor(freq, width, b, beta)).
-    Read-only."""
-    rows = np.conj(_walsh_values(width))
+def _fold_rows(width: int) -> np.ndarray:
+    """Row c is half the conjugate of rm_codec's Walsh row c, so that
+    row[2 b + beta][idx & freq] is conj(walsh_factor(freq, width, b, beta))
+    / 2.  Read-only."""
+    rows = 0.5 * np.conj(_walsh_values(width))
     rows.setflags(write=False)
     return rows
+
+
+# Widest layer whose factors _fold_factor takes from one table of every
+# frequency, (4, 2**6, 2**6) complex: 256 KB
+_FACTOR_TABLE_BITS = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_table(width: int) -> np.ndarray:
+    """Entry [c, freq] is _fold_rows(width)[c][idx & freq] for every
+    frequency, width <= _FACTOR_TABLE_BITS.  Read-only."""
+    idx = _walsh_table(width)[0]
+    table = _fold_rows(width)[:, np.bitwise_and.outer(idx, idx)]
+    table.setflags(write=False)
+    return table
+
+
+def _fold_factor(width: int, c: int, freq: int) -> np.ndarray:
+    """conj(walsh_factor(freq, width, c >> 1, c & 1)) / 2: the halved,
+    conjugated V_hat a layer folds with.  Read-only."""
+    if width <= _FACTOR_TABLE_BITS:
+        return _fold_table(width)[c, freq]
+    return _fold_rows(width)[c][_walsh_table(width)[0] & freq]
 
 
 def _angle(z: complex) -> float:
@@ -188,7 +244,7 @@ def correlate_layer(Y: np.ndarray) -> np.ndarray:
 
 
 def _correlate(Y: np.ndarray) -> np.ndarray:
-    return np.einsum("ln,ln->n", Y[:, 1::2], np.conj(Y[:, 0::2]))
+    return _einsum("ln,ln->n", Y[:, 1::2], np.conj(Y[:, 0::2]))
 
 
 def peak_search(t: np.ndarray) -> tuple[int, complex]:
@@ -245,12 +301,14 @@ def fold_layer(Y: np.ndarray, V_hat: np.ndarray, delta_hat_layer: float) -> np.n
     V_hat = np.asarray(V_hat)
     if V_hat.shape != (Y.shape[1] // 2,):
         raise ValueError("V_hat must have half as many entries as Y has columns")
-    return _fold(Y, np.conj(V_hat), float(delta_hat_layer))
+    return _fold(Y, 0.5 * np.conj(V_hat), float(delta_hat_layer))
 
 
-def _fold(Y: np.ndarray, V_conj: np.ndarray, delta: float) -> np.ndarray:
-    """fold_layer unchecked, taking conj(V_hat)."""
-    return 0.5 * (cmath.exp(-1j * delta) * Y[:, 0::2] + V_conj[None, :] * Y[:, 1::2])
+def _fold(Y: np.ndarray, V_half: np.ndarray, delta: float) -> np.ndarray:
+    """fold_layer unchecked, taking conj(V_hat) / 2.  Halving both terms
+    before the sum is exact, as any scaling by a power of two is short of
+    the subnormal range, so this is the formula above bit for bit."""
+    return (0.5 * cmath.exp(-1j * delta)) * Y[:, 0::2] + V_half[None, :] * Y[:, 1::2]
 
 
 def estimate_final(
@@ -274,7 +332,7 @@ def estimate_final(
 
 def _final(Y1: np.ndarray, delta_prev: float, estimate_delay: bool):
     """estimate_final unchecked; None when the correlation is zero."""
-    y_corr = complex(np.einsum("l,l->", Y1[:, 1], np.conj(Y1[:, 0])))
+    y_corr = complex(_einsum("l,l->", Y1[:, 1], np.conj(Y1[:, 0])))
     if y_corr == 0:
         return None
     comp_phase = 2.0 * delta_prev if estimate_delay else 0.0
@@ -282,24 +340,63 @@ def _final(Y1: np.ndarray, delta_prev: float, estimate_delay: bool):
     if not estimate_delay:
         comp_m = 0.0
     polarity_conj = _IOTA_CONJ[(2 * b1 + beta1) & 3]
-    h_hat = 0.5 * (
-        Y1[:, 0] * cmath.exp(1j * comp_m) + polarity_conj * cmath.exp(2j * comp_m) * Y1[:, 1]
-    )
+    # the halves as in _fold: 0.5 (Y1[:, 0] e^{i c} + conj(i^q) e^{2ic} Y1[:, 1])
+    h_hat = Y1[:, 0] * (0.5 * cmath.exp(1j * comp_m)) + (
+        0.5 * (polarity_conj * cmath.exp(2j * comp_m))
+    ) * Y1[:, 1]
     return b1, beta1, comp_m, h_hat
 
 
+class _Search(NamedTuple):
+    """One delay-search shape as _refine reads it, its arrays read-only."""
+
+    steps: int  # the grid's offsets are k resolution, |k| <= steps
+    offsets: np.ndarray  # the grid's offsets in grid order
+    scale: np.ndarray  # 2^l, l = 0..m-1
+    lowered: np.ndarray  # -2^l
+    shift: np.ndarray  # 1/2 - 2^l half / 2pi, half = steps resolution
+    ticks: np.ndarray  # 1/2, 3/2, ...: the wraps of a term in its own turns
+    period: np.ndarray  # (m, 1): 2 / 2^l, the e / pi between term l's wraps
+    weights: np.ndarray  # (m, ticks): 2^l in row l
+    limit: float  # half / pi
+    curvature: float  # C = sum_l 4^l
+    rounding: float  # 2E
+    slack: float  # the screen's rounding per summed term
+    spread: float  # 2E / (C resolution^2)
+    reach: float  # the minimizers' and grid points' rounding, in grid steps
+
+
 @functools.lru_cache(maxsize=16)
-def _delay_grid(window: float, resolution: float, m: int):
-    """Search offsets k*resolution for |k| <= round(window/resolution), the
-    component scales 2^l, and each scaled offset in turns, 2^l k res / 2pi
-    (m x grid).  Cached per search shape; all read-only."""
+def _delay_search(window: float, resolution: float, m: int) -> _Search:
+    """_refine's search shape, cached; its bounds are derived there."""
     steps = int(round(window / resolution))
-    offsets = np.arange(-steps, steps + 1) * resolution
+    half = steps * resolution
     scale = 2.0 ** np.arange(m)
-    turns = scale[:, None] * offsets[None, :] * _INV_2PI
-    for a in (offsets, scale, turns):
-        a.setflags(write=False)
-    return offsets, scale, turns
+    ticks = np.arange(int(scale[-1] * half / np.pi) + 2) + 0.5
+    curvature = float(((1 << 2 * m) - 1) // 3)
+    eps = 2.0**-52
+    rounding = 2.0 * eps * m * (20.0 * (2.0 ** (m - 1) * (np.pi + half) + 3.0 * np.pi) + 5.0 * m)
+    wraps = 2.0**m * half / np.pi + m  # at least the wraps in the window
+    search = _Search(
+        steps=steps,
+        offsets=np.arange(-steps, steps + 1) * resolution,
+        scale=scale,
+        lowered=-scale,
+        shift=0.5 - scale * half * _INV_2PI,
+        ticks=ticks,
+        period=(2.0 / scale)[:, None],
+        weights=np.repeat(scale[:, None], ticks.size, axis=1),
+        limit=half / np.pi,
+        curvature=curvature,
+        rounding=rounding,
+        slack=512.0 * eps * curvature * (np.pi + half) ** 2,
+        spread=rounding / (curvature * resolution**2),
+        reach=16.0 * eps * (m + wraps) * (np.pi + half) / resolution,
+    )
+    for a in search:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return search
 
 
 def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
@@ -312,15 +409,20 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
     grid order) minimizing the wrap-aware squared residual
     sum_l wrap(c_l - wrap(2^(l-1) g))^2.  Returns wrap(g*), in [-pi, pi).
 
-    The scan is exact but cheap.  A screen scores every grid point in
-    turns, (c_l - 2^(l-1) g) / 2pi less its nearest integer, with no float
-    remainder.  Its rounding error is bounded (see the comment below), so
-    only grid points scoring within twice that bound of the smallest score
-    can be the minimizer.  Those few get the residual above exactly as a
-    full-grid scan computes it, summed row by row as np.sum(axis=0) sums an
-    (m, grid) array, so the estimate is bit-identical to the full scan.
-    Components must be finite and in [-pi, pi], as detect_slot produces
-    them; anything else raises ValueError.
+    The scan is exact but cheap.  As a function of e the residual is
+    piecewise quadratic: a piece ends where a component wraps, and on each
+    piece it is one quadratic of curvature C = sum 4^(l-1), whose minimum
+    and minimizer follow from the piece before by one step.  Since the
+    circular distance is the least over all wraps, the residual is at most
+    every piece's quadratic everywhere; so, up to a written rounding bound
+    (the comment in _refine), only pieces whose minimum is near the best
+    can hold the grid's minimum, and within such a piece only grid points
+    about as near its minimizer as the nearest one.  Those few points, one
+    or two on a clean slot, get the residual above exactly as a full-grid
+    scan computes it, summed row by row as np.sum(axis=0) sums an (m, grid)
+    array, so the estimate is bit-identical to the full scan.  Components
+    must be finite and in [-pi, pi], as detect_slot produces them; anything
+    else raises ValueError.
     """
     components = np.asarray(components, dtype=np.float64)
     if components.ndim != 1 or components.size < 2:
@@ -333,28 +435,72 @@ def refine_delay(components: np.ndarray, cfg: DetectorConfig) -> float:
 def _refine(components: np.ndarray, cfg: DetectorConfig) -> float:
     m = components.size
     first = components[0]
-    offsets, scale, turns = _delay_grid(cfg.refine_window, cfg.refine_resolution, m)
-    y = turns + ((components - scale * first) * _INV_2PI)[:, None]
-    y -= np.rint(y)
-    screen = np.einsum("lj,lj->j", y, y)
-    # Screen error.  Let eps = 2^-52, w = offsets[-1] the grid's half-span
-    # and X = 2^(m-1) (|first| + w) + 3pi, which bounds |c_l| + |2^(l-1) g|
-    # and is at least 3pi.  Against the true circular distance of
-    # c_l - 2^(l-1) g, the screen's turn carries at most 2.5 eps X / 2pi of
-    # rounding (grid point, cached offset, row shift and the add; y - rint(y)
-    # is exact), and the exact path's wrapped difference at most 2.5 eps X
-    # (its first wrap rounds 2^(l-1) g + pi, below X, and its six later
-    # steps stay within 3pi).  So each squared term differs from its exact
-    # twin / 4pi^2 by at most eps X turns^2, squares' own rounding included,
-    # and each m-term sum rounds by at most eps m^2 / 8:
-    # |screen - exact / 4pi^2| <= B = eps m (X + m/4) at every grid point.
-    # The exact minimizer thus scores at most 2B above the screen's minimum,
-    # and a margin of 2 eps m (X + m/2) also covers rounding the threshold.
-    X = scale[-1] * (abs(first) + offsets[-1]) + 3.0 * np.pi
-    keep = np.flatnonzero(screen <= screen.min() + 2.0**-51 * m * (X + m / 2))
-    grid = first - offsets[keep]
-    predicted = _wrap(scale[:, None] * grid[None, :])
-    residual = np.cumsum(_wrap(components[:, None] - predicted) ** 2, axis=0)[-1]
+    resolution = cfg.refine_resolution
+    search = _delay_search(cfg.refine_window, resolution, m)
+    steps, curvature = search.steps, search.curvature
+    # The pieces.  With e = k resolution, term l is circ(a_l + 2^l e)^2,
+    # a_l = c_l - 2^l first and circ the true circular distance, so it
+    # wraps where a_l / 2pi + 2^l e / 2pi + 1/2 passes an integer: its wrap
+    # i is at e = (i + 1/2 - offset_l) 2pi / 2^l, offset_l in [2^l half /
+    # 2pi - 1/2, 2^l half / 2pi + 1/2).  On a piece term l is (D_l + 2^l
+    # e)^2, and the piece is A + 2 B e + C e^2 with A = sum D_l^2 and B =
+    # sum 2^l D_l, least at e* = -B / C, where it is A - C e*^2.  At e =
+    # -half, D_l = 2pi offset_l; a wrap of term l at e_w lowers D_l by 2pi,
+    # which raises -B / 2pi by 2^l and A / 4pi^2 by 2^l e_w / pi (the
+    # residual is continuous).  Rows 0 and 1 of sums add those up, the m
+    # terms at -half and then the wraps in e order, so column m - 1 + p
+    # holds piece p's.
+    turns = (components - search.scale * first) * _INV_2PI
+    offset = turns - np.floor(turns + search.shift)
+    ends = (search.ticks - offset[:, None]) * search.period  # e_w / pi
+    inside = ends <= search.limit
+    ends = ends[inside]
+    order = ends.argsort()
+    sums = np.empty((2, m + ends.size))
+    np.multiply(search.lowered, offset, out=sums[0, :m])
+    np.multiply(offset, offset, out=sums[1, :m])
+    sums[0, m:] = search.weights[inside][order]
+    np.multiply(sums[0, m:], ends[order], out=sums[1, m:])
+    np.add.accumulate(sums, axis=1, out=sums)
+    centers = sums[0, m - 1 :] * (2.0 * np.pi / curvature)
+    low = (4.0 * np.pi**2) * sums[1, m - 1 :] - curvature * centers**2
+    # Which grid points can hold the minimum.  Let eps = 2^-52 and X =
+    # 2^(m-1) (pi + half) + 3pi, which bounds |c_l| + |2^l g| and is at
+    # least 3pi.  The exact path's wrapped difference carries at most 3 eps
+    # X of rounding (its first wrap rounds 2^l g + pi, below X, and its
+    # later steps stay within 3pi), each squared term at most 20 eps X and
+    # the m-term sum another 5 eps m^2: its residual is within E = eps m (20
+    # X + 5 m) of the true one R at every grid point, so the point it
+    # returns has R at most G + 2E, G the least R over the grid.  Let piece
+    # p be the quadratic R_p, least at e*_p, and its grid point nearest
+    # e*_p lie d_p steps from it.  R <= R_p everywhere, since circ is the
+    # least distance over all wraps, so G <= R_p there, R_p(e*_p) + C (d_p
+    # resolution)^2.  A grid point k on piece p has R(k) = R_p(k), so for
+    # R(k) <= G + 2E it needs
+    # - R_p(e*_p) at most the best piece's bound above plus 2E, and
+    # - (k - e*_p / resolution)^2 <= d_p^2 + 2E / (C resolution^2).
+    # Every other grid point is ruled out without a wrap.  The minimizers
+    # carry at most 8 eps (m + P) (pi + half) of rounding, P the wraps in
+    # the window, and the grid points sit within 2 eps (pi + half) of k
+    # resolution, which reach covers twice over; low carries at most 512 eps
+    # C (pi + half)^2 of rounding per summed term, which slack covers.  Ends
+    # that round into the wrong order swap a piece narrower than that
+    # rounding for one not present, which the same margins cover.
+    best = int(low.argmin())
+    x = centers.item(best) / resolution + steps
+    d = x - min(max(round(x), 0), 2 * steps)
+    cap = low.item(best) + curvature * (d * resolution) ** 2 + search.rounding
+    candidates = set()
+    for p in (low <= cap + search.slack * (low.size + m)).nonzero()[0].tolist():
+        x = centers.item(p) / resolution + steps
+        d = x - min(max(round(x), 0), 2 * steps)
+        r = math.sqrt(d * d + search.spread) + search.reach
+        candidates.update(range(max(math.ceil(x - r), 0), min(math.floor(x + r), 2 * steps) + 1))
+    if len(candidates) == 1:
+        return _wrap(float(first - search.offsets[candidates.pop()]))
+    grid = first - search.offsets[sorted(candidates)]
+    predicted = _wrap(search.scale[:, None] * grid[None, :])
+    residual = np.add.accumulate(_wrap(components[:, None] - predicted) ** 2, axis=0)[-1]
     return _wrap(float(grid[residual.argmin()]))
 
 
@@ -378,8 +524,9 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     reconstructed signal of the strongest transmission in Y, or None if a
     peak degenerates to zero."""
     estimate_delay = cfg.estimate_delay
-    P = np.zeros((m, m), dtype=np.uint8)
-    b = np.zeros(m, dtype=np.uint8)
+    # the pair as _pair_samples takes it, b and P its views
+    pair = np.zeros(m + m * m, dtype=np.uint8)
+    b, P = pair[:m], pair[m:].reshape(m, m)
     components = np.zeros(m, dtype=np.float64)
     Ys = Y
     prev = 0.0
@@ -402,7 +549,7 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
         P[w, w] = beta_s
         b[w] = b_s
         components[m - s] = comp
-        Ys = _fold(Ys, _walsh_conj(w)[2 * b_s + beta_s][_walsh_table(w)[0] & freq], comp)
+        Ys = _fold(Ys, _fold_factor(w, 2 * b_s + beta_s, freq), comp)
         prev = comp
     final = _final(Ys, prev, estimate_delay)
     if final is None:
@@ -412,9 +559,7 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     P[0, 0] = beta1
     components[m - 1] = comp_m
     delta_hat = _refine(components, cfg) if estimate_delay else 0.0
-    # _pair_exponents of the one pair: shifts 2 b + diag(P), row frequencies
-    expo = _exponents(2 * b + P.diagonal(), (P * _row_weights(m)).sum(axis=1), 1)
-    signal = _reconstruct(_lookup(expo)[0], h_hat, delta_hat, _n_index(m))
+    signal = _reconstruct(_pair_samples(pair, m), h_hat, delta_hat, _n_index(m))
     return P, b, h_hat, delta_hat, components, signal
 
 
@@ -422,7 +567,7 @@ def _norm(Y: np.ndarray) -> float:
     """Frobenius norm of a C-contiguous complex array through numpy's own
     sum: np.linalg.norm takes a BLAS dot for complex input, whose last bits
     follow the BLAS thread count."""
-    return math.sqrt(np.square(Y.view(np.float64)).sum())
+    return math.sqrt(np.add.reduce(np.square(Y.view(np.float64)), axis=None))
 
 
 def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
@@ -459,7 +604,7 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
         if residual_next >= residual:
             break  # cancellation stopped helping; drop this detection
         detections.append(
-            Detection(P, b, h_hat, delta_hat, components, residual, residual_next, k, signal)
+            _detection(P, b, h_hat, delta_hat, components, residual, residual_next, k, signal)
         )
         Y = Y_next
         residual = residual_next

@@ -16,6 +16,7 @@ from rmaccess.access_pipeline import FrameConfig, draw_messages, transmissions, 
 from rmaccess.geometry_channel import (
     GeometryConfig,
     Population,
+    _ramp,
     classify_neighbors,
     expected_neighbors,
     frame_observations,
@@ -281,6 +282,28 @@ def test_synthesize_slot_matches_einsum_formula(k, m):
         expected = einsum_synthesis(X, h, delta, gamma=2.5)
         assert Y.shape == expected.shape == (4, 2**m)
         assert np.abs(Y - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_two_level_ramp_is_within_its_bound(m):
+    """The product of coarse and fine phasors errs from the direct
+    np.exp(-1j delta n) by at most (|delta| n + 1) 2**-51 at every sample,
+    and a zero delay gives exactly 1.  The bound grows with delta n because
+    the direct form itself rounds the angle delta n before its exp."""
+    n = 1 << m
+    rng = np.random.default_rng(2000 + m)
+    edges = [0.0, math.pi, -math.pi, np.nextafter(math.pi, 0.0), -0.0]
+    delta = np.concatenate([edges, rng.uniform(-math.pi, math.pi, 2000)])
+    samples = np.arange(1, n + 1)
+    worst = 0.0
+    for s in range(0, delta.size, max(1, (1 << 16) // n)):
+        d = delta[s : s + max(1, (1 << 16) // n)]
+        got = _ramp(d, n)
+        assert got.shape == (d.size, n)
+        err = np.abs(got - np.exp(-1j * np.outer(d, samples)))
+        worst = max(worst, float((err / ((np.abs(d)[:, None] * samples + 1.0) * 2.0**-51)).max()))
+        assert np.all(got[d == 0.0] == 1.0)
+    assert worst <= 1.0
 
 
 def test_synthesize_slot_empty_and_mismatched_k():

@@ -4,12 +4,14 @@ The population digests and records below were produced by the per-device
 implementation that stacked arrays replaced (one frozen object per device
 and per message).  The observation digests come from the synthesis kernel's
 device-blocked BLAS products, which round differently from the einsum they
-replaced while every record stayed the same.  The K_star literals come from
-math.lgamma, which rounds the closed form's Gamma ratio a few ulps away from
-the scipy gammaln it replaced.  A change that alters the draw order, the
-population arrays, the synthesized observations or the scored records fails
-here.  The float digests assume IEEE float64 numpy kernels as
-on x86-64; they do not depend on the BLAS thread count.
+replaced while every record stayed the same; the asynchronous ones also
+come from the two-level delay ramp, which rounds a few ulps away from the
+direct cos/sin ramp it replaced, again with every record the same.  The
+K_star literals come from math.lgamma, which rounds the closed form's Gamma
+ratio a few ulps away from the scipy gammaln it replaced.  A change that
+alters the draw order, the population arrays, the synthesized observations
+or the scored records fails here.  The float digests assume IEEE float64
+numpy kernels as on x86-64; they do not depend on the BLAS thread count.
 """
 
 import hashlib
@@ -48,11 +50,11 @@ def test_sample_frame_stream_is_pinned():
     [
         (
             FrameConfig(m=6, p=4, d=0),
-            "98a888241c90784dcc7037347ea5a1db2467ca761589e3c35356b8b02bbc722f",
+            "df709c54c81b9b0a3c819c7254ed217668a43be225051a8cc7b262cb3e62f8a8",
         ),
         (
             FrameConfig(m=6, p=4, d=2),
-            "a97e6c3ad2c2c52a12ec6379aacb81c2bff7ec982583cc9adccca1f258bef914",
+            "0fcbb092fc10b36bb82f058b866d8472442950f54ff288ec618de63bae7367bf",
         ),
         (
             FrameConfig(m=7, p=2, tau_max=0.0),

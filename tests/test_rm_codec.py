@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.rm_codec import (
     _bit_rows,
+    _pair_samples,
     as_bits,
     bits_to_pair_batch,
     pair_to_bits,
@@ -150,6 +151,23 @@ def test_rm_samples_batch_recursion_matches_einsum(stack):
     np.testing.assert_array_equal(batch, einsum_samples_batch(Ps, bs))
     for k in range(bs.shape[0]):
         np.testing.assert_array_equal(batch[k], rm_samples(Ps[k], bs[k]))
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_one_pair_samples_equal_the_batch_builder(m):
+    """The detector's sample builder, one table product up to
+    _PAIR_TABLE_BITS rows and the layer recursion above them, gives
+    rm_samples_batch's samples bit for bit, for random symmetric pairs and
+    the all-zero and all-one ones."""
+    rng = np.random.default_rng(700 + m)
+    upper = np.triu(rng.integers(0, 2, size=(40, m, m), dtype=np.uint8))
+    zero, one = np.zeros((1, m, m), np.uint8), np.ones((1, m, m), np.uint8)
+    Ps = np.concatenate([upper | np.swapaxes(upper, 1, 2), zero, one])
+    bs = np.concatenate([rng.integers(0, 2, size=(40, m), dtype=np.uint8), zero[:, 0], one[:, 0]])
+    want = rm_samples_batch(Ps, bs)
+    for P, b, samples in zip(Ps, bs, want):
+        got = _pair_samples(np.concatenate([b, P.ravel()]), m)
+        assert got.dtype == np.complex128 and got.tobytes() == samples.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -286,6 +286,81 @@ def test_refine_delay_near_ties_keep_several_grid_points(monkeypatch):
                 assert exact_shapes[0][0] == m and exact_shapes[0][1] >= 2
 
 
+def test_refine_delay_with_a_wrap_on_a_grid_point():
+    """A component that wraps exactly at a grid point inside the window, or
+    an ulp or a grid step beside it, where its residual term jumps between
+    pieces: the search still returns the full grid's first minimizer."""
+    rng = np.random.default_rng(61)
+    cfg = DetectorConfig(k_max=1, eps=0.0, refine_window=0.1, refine_resolution=1e-4)
+    checked = 0
+    for m in (2, 3, 6, 10, 14):
+        for _ in range(40):
+            delta = rng.uniform(-math.pi, math.pi)
+            comps = wrap(2.0 ** np.arange(m) * delta + 0.05 * rng.standard_normal(m))
+            l = int(rng.integers(1, m))
+            g = comps[0] - int(rng.integers(-30, 31)) * 1e-4  # a grid point near the center
+            for nudge in (0.0, 1e-4):
+                at = 2.0**l * (g - nudge)
+                for c in (np.pi + at, np.nextafter(np.pi + at, 0.0), np.nextafter(np.pi + at, 9.0)):
+                    comps[l] = wrap(c)
+                    assert refine_delay(comps, cfg) == full_grid_delay(comps, cfg)
+                    checked += 1
+    assert checked == 5 * 40 * 2 * 3
+
+
+def flat_minimum_components(rng, m, half):
+    """Components whose residual has its minimizer inside a window of
+    half-width half and a minimum near 1/4: the noise on components 2..m is
+    orthogonal to their scales, so it lifts the whole quadratic without
+    moving its minimizer, and rounding rather than curvature decides
+    between grid points near it once the resolution is fine enough."""
+    scale = 2.0 ** np.arange(1, m)
+    noise = rng.standard_normal(m - 1)
+    noise -= scale * (noise @ scale) / (scale @ scale)
+    noise *= 0.5 / np.linalg.norm(noise)
+    first = rng.uniform(-math.pi, math.pi)
+    shift = rng.uniform(-0.75 * half, 0.75 * half)
+    return np.concatenate([[first], wrap(scale * (first - shift) + noise)])
+
+
+@pytest.mark.parametrize(
+    "window, resolution", [(0.01, 1e-6), (2e-7, 1e-9)], ids=["1e-6", "1e-9"]
+)
+def test_refine_delay_at_fine_resolutions(window, resolution):
+    """At 1e-6 a grid step still lifts the pieces' quadratic above the
+    residual's rounding; at 1e-9 it lifts it far less, so near a flat
+    minimum the float residuals tie or invert over many steps, and the
+    search must keep every step its rounding bound cannot rule out, not
+    just the two around each minimizer."""
+    rng = np.random.default_rng(62)
+    cfg = DetectorConfig(k_max=1, eps=0.0, refine_window=window, refine_resolution=resolution)
+    for _ in range(200):
+        m = int(rng.integers(3, 15))
+        comps = flat_minimum_components(rng, m, window)
+        assert refine_delay(comps, cfg) == full_grid_delay(comps, cfg)
+        noise = rng.choice([0.0, 1e-7, 1e-3, 0.3])
+        comps = wrap(2.0 ** np.arange(m) * comps[0] + noise * rng.standard_normal(m))
+        assert refine_delay(comps, cfg) == full_grid_delay(comps, cfg)
+
+
+def test_refine_delay_equals_full_grid_on_random_components():
+    """Seeded random components at m = 2..14, from clean to pure noise,
+    under windows from none to wider than pi (where the first component
+    wraps too)."""
+    rng = np.random.default_rng(63)
+    configs = [
+        DetectorConfig(k_max=1, eps=0.0, refine_window=window, refine_resolution=resolution)
+        for window, resolution in [(0.1, 1e-4), (0.0, 1e-4), (0.5, 1e-3), (0.1, 3.7e-4), (4.0, 2e-3)]
+    ]
+    for i in range(1000):
+        m = int(rng.integers(2, 15))
+        delta = rng.uniform(-math.pi, math.pi)
+        noise = rng.choice([0.0, 1e-9, 1e-3, 0.05, 0.5, 3.0])
+        comps = wrap(2.0 ** np.arange(m) * delta + noise * rng.standard_normal(m))
+        cfg = configs[i % len(configs)]
+        assert refine_delay(comps, cfg) == full_grid_delay(comps, cfg)
+
+
 @pytest.mark.parametrize(
     "bad", [math.nan, math.inf, -math.inf, 3.2, -3.2, np.nextafter(np.pi, 4.0)]
 )
