@@ -302,9 +302,9 @@ def _flip_check_bit(samples: np.ndarray) -> None:
     The copies differ only in the check bit b[m-2], whose flip negates the
     samples n with bit 1 of n-1 set: entries 2 and 3 of every run of four
     along the last axis.  A sign flip is exact and commutes with the delay
-    ramp and the channel, so it applies as well to codewords, ramped
-    codewords and reconstructed signals.  Strided views keep it in place for
-    any memory layout.
+    ramp, the channel and sums, so it applies as well to codewords, ramped
+    codewords, slot groups' sums of them and reconstructed signals.
+    Strided views keep it in place for any memory layout.
     """
     for k in (2, 3):
         entries = samples[..., k::4]

@@ -30,10 +30,10 @@ the direct exponential, not bit-identical to it (_ramp).  A device's two
 asynchronous copies share h and Delta and differ only in the check bit, a
 fixed sign pattern over n, so a two-copy frame builds and ramps each
 device's codeword once per sub-block, into one (K, 2**m) table that copy 1
-reuses after an in-place sign flip.  A synchronous frame holds no table: it
-builds each slot group's uint8 exponents once, 1 byte a sample, and looks
-up the codewords of one block of devices at a time into one reused buffer,
-just before that block's product.  The tests pin the model down against an
+reads too, sign-flipping its slot groups' sums.  A synchronous frame holds
+no table: it builds each slot group's uint8 exponents once, 1 byte a
+sample, and looks up the codewords of one block of devices at a time into
+one reused buffer, just before that block's product.  The tests pin the model down against an
 oracle that rebuilds the noise-free observation the long way
 (continuous-time waveform, sampling, prefix discard, DFT).
 
@@ -177,7 +177,10 @@ def sample_frame(cfg: GeometryConfig, frame: FrameConfig, rng: np.random.Generat
     dist = np.hypot(xy[:, 0], xy[:, 1])
     gains = rng.exponential(1.0, size=(count, cfg.r))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, cfg.r))
-    h = dist[:, None] ** (-cfg.alpha / 2.0) * np.sqrt(gains) * np.exp(1j * phases)
+    h = np.empty((count, cfg.r), dtype=np.complex128)
+    np.cos(phases, out=h.real)
+    np.sin(phases, out=h.imag)
+    h *= dist[:, None] ** (-cfg.alpha / 2.0) * np.sqrt(gains)
     delta = np.zeros(count) if frame.synchronous else rng.uniform(-math.pi, math.pi, size=count)
     return Population(dist, gains, h, delta, draw_messages(frame, rng, count))
 
@@ -324,12 +327,13 @@ def frame_observations(
     so memory is bounded by that one table.  The copies differ only in the
     check bit b[m-2], so copy 1's ramped codeword is copy 0's negated
     wherever bit 1 of n-1 is set, an exact sign flip
-    (access_pipeline._flip_check_bit) applied to the table in place.  The
-    ramped rows go straight to the blocked sum, as synthesize_slot would
-    sum them at zero delay.  Each slot group sums its rows gathered from the
-    table a block at a time, in the same device order as from freshly built
-    and ramped codewords, so the result is bit-identical to ramping each
-    copy on its own.
+    (access_pipeline._flip_check_bit) that commutes with products and sums:
+    a copy-1 slot group sums copy 0's rows and flips the sum, so the table
+    is written once and then only read.  The ramped rows go straight to the
+    blocked sum, as synthesize_slot would sum them at zero delay, a block of
+    rows gathered from the table at a time in the same device order as from
+    freshly built and ramped codewords, so the result is bit-identical to
+    ramping each copy on its own.
 
     With a generator the frame is noisy: noise for the whole grid is drawn
     from it up front in one block, so the result does not depend on the
@@ -372,11 +376,11 @@ def frame_observations(
             for s in range(0, k, rows):
                 table[s : s + rows] *= _ramp(pop.delta[s : s + rows], n)
             for c in range(2):
-                if c:
-                    _flip_check_bit(table)  # copy 0's ramped codewords -> copy 1's
                 for sel in _slot_groups(slots[:, j, c]):
                     # synthesize_slot of the ramped rows at zero delay
                     signal = _device_sum(pop.h[sel], lambda s: table[sel[s : s + _DEVICE_BLOCK]])
+                    if c:
+                        _flip_check_bit(signal)  # copy 0's sum -> copy 1's
                     signal *= scale
                     Y[j, slots[sel[0], j, c]] += signal
             del table  # before the next sub-block's table is built

@@ -10,21 +10,21 @@ modulating factor of one layer from its frequency as an integer, and wht is
 the fast Walsh-Hadamard transform whose peak index is that frequency.
 
 rm_samples_batch is the one sequence builder, and rm_samples its batch of
-one.  It works on uint8 exponents, 1 byte a sample: the first half of a
-sequence is the sequence of its trailing sub-pair and the second half adds
-a shift and a Walsh term whose frequency is the first row of P, so the
-exponents double in place layer by layer, O(2**m) per sequence, each Walsh
-term a row of a cached parity table of at most 64 KB.  The samples are one
-lookup in a 256-entry table of powers of i, a bounded chunk of rows at a
-time, into a buffer the caller may supply; synthesis uses that to build a
-slot group's exponents once and its codewords a block of devices at a time
-(geometry_channel.frame_observations).  The detector rebuilds one pair at
-a time, where the recursion's per-layer calls would dominate, so
-_pair_samples takes the exponents of up to 7 trailing rows from one uint8
-product with a cached table and runs the same recursion only above them.
-The rest converts pairs to and from their canonical bit strings.  A pair is
-always two arrays, P and b, or stacks (..., m, m) and (..., m) of them.
-Where a message's bits sit in the bit string is the frame scheme's decision
+one.  Every sequence's uint8 exponents, 1 byte a sample, come from one
+builder, _pair_exponents: those of the trailing sub-pair of up to 7 rows
+are one exact float32 product of its bits with a cached table, and above
+it the first half of a sequence is the sequence of its trailing sub-pair
+and the second half adds a shift and a Walsh term whose frequency is the
+first row of P, so the exponents double in place layer by layer, each
+Walsh term a row of a cached parity table of at most 64 KB.  The samples
+are one lookup in a 256-entry table of powers of i, a bounded chunk of rows
+at a time, into a buffer the caller may supply; synthesis uses that to
+build a slot group's exponents once and its codewords a block of devices
+at a time (geometry_channel.frame_observations), and the detector looks up
+the one pair it reconstructs.  The rest converts pairs to and from their
+canonical bit strings.  A pair is always two arrays, P and b, or stacks
+(..., m, m) and (..., m) of them.  Where a message's bits sit in the bit
+string is the frame scheme's decision
 (access_pipeline.FrameConfig.pair_positions), not the codec's.
 
 Bit-vector convention used everywhere: the LAST component of a bit vector is
@@ -131,12 +131,11 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Sample vectors of a stack of pairs: Ps (k, m, m), bs (k, m) -> (k, 2**m).
 
     The package's one sequence builder: the pairs' checks, then their uint8
-    exponents through the layer recursion, O(2**m) per pair,
+    exponents E (_pair_exponents), O(2**m) per pair, which satisfy
     E = concatenate(E', E' + 2*b[0] + P[0, 0] + 2*parity(zeta & n')) mod 4
     over n' = 0..2**(m-1)-1, with E' the exponents of the trailing sub-pair
-    (P[1:, 1:], b[1:]) and zeta = P[0, 1:] read MSB-first, then i**E by
-    table lookup.  Only the upper triangle of P is read; P must be
-    symmetric.
+    (P[1:, 1:], b[1:]) and zeta = P[0, 1:] read MSB-first, and the samples
+    i**E by table lookup.  P must be symmetric.
     """
     if np.ndim(bs) != 2:
         raise ValueError("expected a stack of pairs, bs of shape (k, m)")
@@ -144,36 +143,39 @@ def rm_samples_batch(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
 
 
 def _pair_exponents(Ps: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """uint8 exponents of a stack of valid uint8 pairs, unchecked:
-    (k, 2**m), sample n being i**(exponent mod 4)."""
+    """uint8 exponents of a stack of valid uint8 pairs, unchecked: (k, 2**m),
+    sample n being i**(exponent mod 4).  The trailing w = min(m,
+    _PAIR_TABLE_BITS) rows' are one product of their bits with
+    _pair_table(w), and _exponents adds the rows above them."""
     k, m = bs.shape
-    shifts = (2 * bs + Ps.diagonal(axis1=1, axis2=2)).T[:, :, None]
+    w = min(m, _PAIR_TABLE_BITS)
+    top = m - w
+    trailing = Ps[:, top:, top:].reshape(k, w * w)
+    bits = np.concatenate((bs[:, top:], trailing), axis=1, dtype=np.float32)
+    # integers of at most 2 w + w**2 = 63: exact in float32 whatever the
+    # BLAS blocking, and below 256
+    base = (bits @ _pair_table(w)).astype(np.uint8)
+    if not top:
+        return base
+    shifts = (2 * bs[:, :top] + Ps.diagonal(axis1=1, axis2=2)[:, :top]).T[:, :, None]
     weights, masks = _row_weights(m)
-    return _exponents(shifts, ((Ps @ weights) & masks).T, k)
+    return _exponents(shifts, ((Ps[:, :top] @ weights) & masks[:top]).T, base, m)
 
 
-def _exponents(shifts, freqs, k: int, base: np.ndarray | None = None) -> np.ndarray:
+def _exponents(shifts, freqs, base: np.ndarray, m: int) -> np.ndarray:
     """The layer recursion on uint8 exponents, unchecked: (k, 2**m) from
-    each layer t = 0..m-1's shift 2*b[t] + P[t, t] (uint8, shifts[t], a
-    (k, 1) column or one int for every row) and frequency P[t, t+1:] read
-    MSB-first (freqs[t], (k,) or one int).  The first half of a sequence's
-    exponents are those of its trailing sub-pair (P[1:, 1:], b[1:]); the
-    second half adds the shift and a Walsh term of the frequency, so layer
-    t writes samples 2**(m-1-t)..2**(m-t)-1 from the ones before them.
-    base, when given, holds the exponents (k, 2**w) of the trailing w-row
-    sub-pairs, and the recursion starts above them."""
+    base (k, 2**w), the trailing w-row sub-pairs' exponents, and each upper
+    row t = 0..m-w-1's shift 2*b[t] + P[t, t] (uint8, shifts[t], (k, 1))
+    and frequency P[t, t+1:] read MSB-first (freqs[t], (k,)).  The second
+    half of a sequence's exponents is the first half, its trailing
+    sub-pair's, plus the shift and a Walsh term of the frequency, so row t
+    writes samples 2**(m-1-t)..2**(m-t)-1 from the ones before them."""
     # a layer adds at most 5 and uint8 wraps at a multiple of 4, so the
     # mod 4 is left to the lookup
-    m = len(shifts)
+    k, width = base.shape
     expo = np.empty((k, 1 << m), dtype=np.uint8)
-    if base is None:
-        width = 1
-        expo[:, 0] = 0
-        expo[:, 1:2] = shifts[m - 1]  # the last row has no frequency
-    else:
-        width = base.shape[-1].bit_length() - 1
-        expo[:, : 1 << width] = base
-    for t in range(m - 1 - width, -1, -1):
+    expo[:, :width] = base
+    for t in range(len(shifts) - 1, -1, -1):
         half = 1 << (m - 1 - t)
         upper = expo[:, half : 2 * half]
         np.add(expo[:, :half], _walsh_term(freqs[t], m - 1 - t), out=upper)
@@ -181,40 +183,22 @@ def _exponents(shifts, freqs, k: int, base: np.ndarray | None = None) -> np.ndar
     return expo
 
 
-# Widest sub-pair whose exponents _pair_samples takes from one table product
+# Widest trailing sub-pair whose exponents _pair_exponents takes from one
+# table product, (7 + 49, 2**7) float32
 _PAIR_TABLE_BITS = 7
 
 
 @lru_cache(maxsize=None)
 def _pair_table(width: int) -> np.ndarray:
-    """(2**width, width + width**2) uint8 table whose row n holds 2 a and
-    the outer product a a' (raveled) for a the width-bit expression of n:
-    row n dotted with concatenate((b, P.ravel())) of a pair is its sample
-    exponent 2 b'a + a'Pa.  At most 7 KB; read-only."""
+    """(width + width**2, 2**width) float32 table whose column n holds 2 a
+    and the outer product a a' (raveled) for a the width-bit expression of
+    n: concatenate((b, P.ravel())) of a pair times column n is its sample
+    exponent 2 b'a + a'Pa.  At most 28 KB; read-only."""
     a = _bit_rows(width)
     table = np.concatenate([2 * a, (a[:, :, None] & a[:, None, :]).reshape(1 << width, -1)], axis=1)
+    table = np.ascontiguousarray(table.T, dtype=np.float32)
     table.setflags(write=False)
     return table
-
-
-def _pair_samples(pair: np.ndarray, m: int) -> np.ndarray:
-    """Samples (2**m,) of one valid uint8 pair given flat as
-    concatenate((b, P.ravel())), unchecked: equal to rm_samples_batch of
-    the pair.  Up to _PAIR_TABLE_BITS rows the exponents are one uint8
-    product with _pair_table (it wraps at 256, a multiple of 4); above, that
-    product gives the trailing sub-pair's and the layer recursion the rest."""
-    width = min(m, _PAIR_TABLE_BITS)
-    top = m - width
-    if not top:
-        expo = _pair_table(m) @ pair
-    else:
-        b, P = pair[:m], pair[m:].reshape(m, m)
-        trailing = np.concatenate((b[top:], P[top:, top:].ravel()))
-        shifts = 2 * b + P.diagonal()
-        weights, masks = _row_weights(m)
-        freqs = (P @ weights) & masks
-        expo = _exponents(shifts, freqs, 1, _pair_table(width) @ trailing)[0]
-    return _IOTA_256.take(expo)
 
 
 # Widest per-width parity table: (2**8, 2**8) uint8, 64 KB.
@@ -237,8 +221,8 @@ def _walsh_term(eta, width: int) -> np.ndarray:
     _TABLE_BITS bits the parity of eta & n is the XOR of the parities of
     its high and low parts, so no table outgrows _parity_rows(_TABLE_BITS)."""
     if width <= _TABLE_BITS:
-        return _parity_rows(width)[eta]
-    low = _parity_rows(_TABLE_BITS)[eta & 0xFF]
+        return _parity_rows(width).take(eta, axis=0)
+    low = _parity_rows(_TABLE_BITS).take(eta & 0xFF, axis=0)
     high = _walsh_term(eta >> _TABLE_BITS, width - _TABLE_BITS)
     return (high[..., :, None] ^ low[..., None, :]).reshape(low.shape[:-1] + (1 << width,))
 

@@ -18,7 +18,6 @@ wall-time scaling).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import itertools
 import json
@@ -26,12 +25,10 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .access_pipeline import FrameConfig, decode_frame, error_metrics, transmissions
 from .geometry_channel import (
@@ -253,6 +250,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentSpec":
+        import yaml  # here, so importing the package does not load it
+
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_mapping(yaml.safe_load(fh))
 
@@ -412,6 +411,8 @@ def run_sweep(spec: ExperimentSpec, workers: int | None = None) -> list[dict]:
     n_workers = _resolve_workers(workers)
     if tasks:
         if n_workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
                 records.extend(pool.map(_trial_task, tasks))
         else:
@@ -537,6 +538,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rmaccess", description="Monte Carlo harness for the access simulator"
     )

@@ -21,9 +21,9 @@ kernels with no per-call checks; DetectorConfig checks its fields when it is
 built.  Each public step (correlate_layer, peak_search, decode_polarity,
 fold_layer, estimate_final, refine_delay, reconstruct_signal) is its input
 checks followed by the kernel detect_slot runs, so every step has one code
-path.  The detected pair's samples are one uint8 product with a cached
-table (rm_codec._pair_samples), and detect_slot builds its Detections
-without the constructor's checks, which guard outside callers.  Angles go
+path.  The detected pair's samples come from the package's one exponent
+builder (rm_codec._pair_exponents), and detect_slot makes its arrays
+read-only and stores them in a plain Detection.  Angles go
 through numpy's arctan2 as np.angle computes them; scalar exponentials,
 floors and wraps use cmath, math and float arithmetic, which give the same
 bits as numpy's scalar forms, and the folds halve their factors before the
@@ -51,13 +51,13 @@ except ImportError:  # numpy 1.x
 # wht and walsh_factor are not called here; perfbench/tracing.py wraps them
 # under these names
 from .rm_codec import (
+    _IOTA_256,
     _IOTA_POW,
     _bit_rows,
-    _pair_samples,
+    _pair_exponents,
     _walsh_table,
     _walsh_values,
     _wht,
-    as_bits,
     rm_samples,
     walsh_factor,
     wht,
@@ -130,7 +130,7 @@ class Detection:
     the residual norms around its cancellation.  signal, when given, is the
     (antennas, 2**m) contribution that was cancelled,
     reconstruct_signal(P, b, h_hat, delta_hat); detect_slot sets it.  The
-    arrays are read-only."""
+    fields are stored as given; detect_slot returns them read-only."""
 
     P: np.ndarray
     b: np.ndarray
@@ -141,44 +141,6 @@ class Detection:
     residual_after: float
     iteration: int
     signal: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        arrays = [
-            ("P", as_bits(self.P)),
-            ("b", as_bits(self.b)),
-            ("h_hat", np.asarray(self.h_hat, dtype=np.complex128)),
-            ("delta_components", np.asarray(self.delta_components, dtype=np.float64)),
-        ]
-        if self.signal is not None:
-            signal = np.asarray(self.signal, dtype=np.complex128)
-            if signal.shape != (arrays[2][1].size, 1 << arrays[1][1].size):
-                raise ValueError(f"signal must be (antennas, 2**m), got shape {signal.shape}")
-            arrays.append(("signal", signal))
-        for name, arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _detection(P, b, h_hat, delta_hat, components, before, after, iteration, signal) -> Detection:
-    """A Detection of detect_slot's own arrays, which already have the
-    dtypes and layout the constructor would give them: made read-only and
-    stored without its checks, which guard outside callers."""
-    for arr in (P, b, h_hat, components, signal):
-        arr.setflags(write=False)
-    det = object.__new__(Detection)
-    det.__dict__.update(
-        P=P,
-        b=b,
-        h_hat=h_hat,
-        delta_hat=delta_hat,
-        delta_components=components,
-        residual_before=before,
-        residual_after=after,
-        iteration=iteration,
-        signal=signal,
-    )
-    return det
 
 
 @functools.lru_cache(maxsize=None)
@@ -524,9 +486,8 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     reconstructed signal of the strongest transmission in Y, or None if a
     peak degenerates to zero."""
     estimate_delay = cfg.estimate_delay
-    # the pair as _pair_samples takes it, b and P its views
-    pair = np.zeros(m + m * m, dtype=np.uint8)
-    b, P = pair[:m], pair[m:].reshape(m, m)
+    P = np.zeros((m, m), dtype=np.uint8)
+    b = np.zeros(m, dtype=np.uint8)
     components = np.zeros(m, dtype=np.float64)
     Ys = Y
     prev = 0.0
@@ -559,7 +520,8 @@ def _estimate_strongest(Y: np.ndarray, m: int, cfg: DetectorConfig):
     P[0, 0] = beta1
     components[m - 1] = comp_m
     delta_hat = _refine(components, cfg) if estimate_delay else 0.0
-    signal = _reconstruct(_pair_samples(pair, m), h_hat, delta_hat, _n_index(m))
+    samples = _IOTA_256.take(_pair_exponents(P[None], b[None])[0])
+    signal = _reconstruct(samples, h_hat, delta_hat, _n_index(m))
     return P, b, h_hat, delta_hat, components, signal
 
 
@@ -603,8 +565,10 @@ def detect_slot(Y: np.ndarray, cfg: DetectorConfig) -> list[Detection]:
         residual_next = _norm(Y_next)
         if residual_next >= residual:
             break  # cancellation stopped helping; drop this detection
+        for arr in (P, b, h_hat, components, signal):
+            arr.setflags(write=False)
         detections.append(
-            _detection(P, b, h_hat, delta_hat, components, residual, residual_next, k, signal)
+            Detection(P, b, h_hat, delta_hat, components, residual, residual_next, k, signal)
         )
         Y = Y_next
         residual = residual_next

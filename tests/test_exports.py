@@ -71,3 +71,22 @@ def test_runtime_needs_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_import_leaves_yaml_and_the_process_pool_unloaded():
+    """PyYAML and the process pool are loaded where a spec file is read and
+    a pool is started, not by importing the package."""
+    src = str(Path(rmaccess.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, rmaccess; "
+        "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

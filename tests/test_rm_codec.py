@@ -11,8 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from rmaccess.access_pipeline import FrameConfig, transmissions
 from rmaccess.rm_codec import (
+    _IOTA_256,
     _bit_rows,
-    _pair_samples,
+    _pair_exponents,
     as_bits,
     bits_to_pair_batch,
     pair_to_bits,
@@ -155,10 +156,11 @@ def test_rm_samples_batch_recursion_matches_einsum(stack):
 
 @pytest.mark.parametrize("m", range(1, 15))
 def test_one_pair_samples_equal_the_batch_builder(m):
-    """The detector's sample builder, one table product up to
-    _PAIR_TABLE_BITS rows and the layer recursion above them, gives
-    rm_samples_batch's samples bit for bit, for random symmetric pairs and
-    the all-zero and all-one ones."""
+    """The detector's one-pair call of the shared exponent builder, a
+    lookup of _pair_exponents(P[None], b[None])[0], gives rm_samples_batch's
+    samples bit for bit, for random symmetric pairs and the all-zero and
+    all-one ones (from m = 7 on the latter reaches the table product's
+    largest exponent, 63)."""
     rng = np.random.default_rng(700 + m)
     upper = np.triu(rng.integers(0, 2, size=(40, m, m), dtype=np.uint8))
     zero, one = np.zeros((1, m, m), np.uint8), np.ones((1, m, m), np.uint8)
@@ -166,7 +168,7 @@ def test_one_pair_samples_equal_the_batch_builder(m):
     bs = np.concatenate([rng.integers(0, 2, size=(40, m), dtype=np.uint8), zero[:, 0], one[:, 0]])
     want = rm_samples_batch(Ps, bs)
     for P, b, samples in zip(Ps, bs, want):
-        got = _pair_samples(np.concatenate([b, P.ravel()]), m)
+        got = _IOTA_256.take(_pair_exponents(P[None], b[None])[0])
         assert got.dtype == np.complex128 and got.tobytes() == samples.tobytes()
 
 
